@@ -28,7 +28,6 @@ fn main() {
         for &n in &sizes {
             for (vname, additions, cse) in variants {
                 let opts = Options {
-                    steps,
                     additions,
                     cse,
                     ..Default::default()

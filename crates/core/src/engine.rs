@@ -11,10 +11,13 @@
 //! * it owns an `fmm-runtime` thread pool, so every multiply — sync or
 //!   submitted — runs at a fixed, configured width regardless of which
 //!   client thread asked;
-//! * a bounded **LRU plan cache** keyed by `(shape, Options, pool
-//!   width)` auto-plans through [`fmm_algo::candidates_for_shape`] on a
-//!   miss, so the first request for a shape pays for planning and every
-//!   later one reuses the resolved [`Plan`];
+//! * a bounded **LRU plan cache** keyed by shape holds the [`Plan`]s
+//!   of one [`Planner`] template (strategy, depth rule, algorithm and
+//!   pool width are fixed when the engine is built). A miss plans
+//!   `template.clone().shape(m, k, n)`, auto-selecting through
+//!   [`fmm_algo::candidates_for_shape`] when no algorithm was set, so
+//!   the first request for a shape pays for planning and every later
+//!   one reuses the resolved plan;
 //! * a **workspace pool** checks [`Workspace`] arenas in and out around
 //!   each execution, so steady-state serving performs no arena
 //!   allocation (asserted by [`EngineStats::workspaces_reused`]);
@@ -93,18 +96,6 @@ impl From<PlanError> for EngineError {
     }
 }
 
-/// Where the engine's plans get their decomposition from.
-enum AlgSource {
-    /// Rank the exact catalog per shape ([`fmm_algo::candidates_for_shape`])
-    /// and let the planner pick.
-    Catalog,
-    /// One fixed decomposition for every shape.
-    Fixed(Decomposition),
-    /// A fixed composed schedule (one decomposition per level) for
-    /// every shape; the schedule length is the depth.
-    Schedule(Vec<Decomposition>),
-}
-
 /// Builder for [`FmmEngine`]. All knobs optional; the defaults give a
 /// hardware-width pool (honoring `FMM_THREADS`), catalog auto-planning
 /// at depth chosen by the §3.4 rule, and the HYBRID scheme when the
@@ -118,11 +109,12 @@ pub struct EngineBuilder<T = f64> {
     cache_capacity: usize,
     max_pooled_workspaces: Option<usize>,
     max_pooled_workspace_len: Option<usize>,
+    /// Strategy from [`EngineBuilder::options`]; when unset, `build`
+    /// picks the width-dependent default scheme.
     options: Option<Options>,
-    steps: Option<usize>,
-    max_steps: usize,
-    profile: Option<GemmProfile>,
-    alg: AlgSource,
+    /// Depth, profile and algorithm for every plan; `build` adds the
+    /// strategy.
+    template: Planner,
     _dtype: std::marker::PhantomData<T>,
 }
 
@@ -142,10 +134,7 @@ impl<T: GemmScalar> EngineBuilder<T> {
             max_pooled_workspaces: None,
             max_pooled_workspace_len: None,
             options: None,
-            steps: None,
-            max_steps: 4,
-            profile: None,
-            alg: AlgSource::Catalog,
+            template: Planner::new(),
             _dtype: std::marker::PhantomData,
         }
     }
@@ -186,10 +175,9 @@ impl<T: GemmScalar> EngineBuilder<T> {
         self
     }
 
-    /// Executor strategy (additions, CSE, scheme, border). `steps` in
-    /// the value is ignored — set depth via [`EngineBuilder::steps`] or
-    /// let the profile decide. Default: write-once additions, dynamic
-    /// peeling, Sequential scheme at width 1 and HYBRID otherwise.
+    /// Executor strategy (additions, CSE, scheme, border). Default:
+    /// write-once additions, dynamic peeling, Sequential scheme at
+    /// width 1 and HYBRID otherwise.
     #[must_use]
     pub fn options(mut self, options: Options) -> Self {
         self.options = Some(options);
@@ -200,14 +188,14 @@ impl<T: GemmScalar> EngineBuilder<T> {
     /// rule.
     #[must_use]
     pub fn steps(mut self, steps: usize) -> Self {
-        self.steps = Some(steps);
+        self.template = self.template.steps(steps);
         self
     }
 
     /// Cap on the profile-recommended depth (default 4).
     #[must_use]
     pub fn max_steps(mut self, max_steps: usize) -> Self {
-        self.max_steps = max_steps;
+        self.template = self.template.max_steps(max_steps);
         self
     }
 
@@ -215,7 +203,7 @@ impl<T: GemmScalar> EngineBuilder<T> {
     /// auto-selection.
     #[must_use]
     pub fn profile(mut self, profile: GemmProfile) -> Self {
-        self.profile = Some(profile);
+        self.template = self.template.profile(profile);
         self
     }
 
@@ -223,7 +211,7 @@ impl<T: GemmScalar> EngineBuilder<T> {
     /// catalog.
     #[must_use]
     pub fn algorithm(mut self, dec: &Decomposition) -> Self {
-        self.alg = AlgSource::Fixed(dec.clone());
+        self.template = self.template.algorithm(dec);
         self
     }
 
@@ -231,7 +219,8 @@ impl<T: GemmScalar> EngineBuilder<T> {
     /// is the recursion depth.
     #[must_use]
     pub fn schedule(mut self, schedule: &[Decomposition]) -> Self {
-        self.alg = AlgSource::Schedule(schedule.to_vec());
+        let levels: Vec<&Decomposition> = schedule.iter().collect();
+        self.template = self.template.schedule(&levels);
         self
     }
 
@@ -245,7 +234,7 @@ impl<T: GemmScalar> EngineBuilder<T> {
             .num_threads(width)
             .build()
             .map_err(|e| EngineError::Pool(e.to_string()))?;
-        let base_opts = self.options.unwrap_or(Options {
+        let options = self.options.unwrap_or(Options {
             scheme: if width == 1 {
                 Scheme::Sequential
             } else {
@@ -257,11 +246,7 @@ impl<T: GemmScalar> EngineBuilder<T> {
             inner: Arc::new(EngineInner {
                 pool,
                 width,
-                base_opts,
-                steps: self.steps,
-                max_steps: self.max_steps,
-                profile: self.profile,
-                alg: self.alg,
+                template: self.template.options(options),
                 cache: Mutex::new(PlanCache::new(self.cache_capacity)),
                 workspaces: Mutex::new(Vec::new()),
                 max_pooled_workspaces: self.max_pooled_workspaces.unwrap_or(2 * width + 2),
@@ -273,24 +258,17 @@ impl<T: GemmScalar> EngineBuilder<T> {
     }
 }
 
-/// Key of one cached plan: the problem shape plus everything else that
-/// determines the compiled plan (strategy options with the *requested*
-/// depth — 0 when the profile rule decides — and the pool width the
-/// plan will execute at).
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-struct PlanKey {
-    shape: (usize, usize, usize),
-    opts: Options,
-    width: usize,
-}
+/// Problem shape `(m, k, n)`: the key of one cached plan. Everything
+/// else that determines a plan is fixed when the engine is built.
+type Shape = (usize, usize, usize);
 
-/// Bounded LRU: a map from key to `(plan, last-use tick)`. Capacities
+/// Bounded LRU: a map from shape to `(plan, last-use tick)`. Capacities
 /// are small (tens of shapes), so eviction scans for the minimum tick
 /// instead of maintaining a linked list.
 struct PlanCache<T> {
     capacity: usize,
     tick: u64,
-    map: HashMap<PlanKey, (Arc<Plan<T>>, u64)>,
+    map: HashMap<Shape, (Arc<Plan<T>>, u64)>,
 }
 
 impl<T: GemmScalar> PlanCache<T> {
@@ -302,7 +280,7 @@ impl<T: GemmScalar> PlanCache<T> {
         }
     }
 
-    fn get(&mut self, key: &PlanKey) -> Option<Arc<Plan<T>>> {
+    fn get(&mut self, key: &Shape) -> Option<Arc<Plan<T>>> {
         self.tick += 1;
         let tick = self.tick;
         self.map.get_mut(key).map(|entry| {
@@ -313,7 +291,7 @@ impl<T: GemmScalar> PlanCache<T> {
 
     /// Insert and evict least-recently-used entries beyond capacity,
     /// returning how many were evicted.
-    fn insert(&mut self, key: PlanKey, plan: Arc<Plan<T>>) -> u64 {
+    fn insert(&mut self, key: Shape, plan: Arc<Plan<T>>) -> u64 {
         self.tick += 1;
         self.map.insert(key, (plan, self.tick));
         let mut evicted = 0;
@@ -412,11 +390,8 @@ impl EngineStats {
 struct EngineInner<T> {
     pool: ThreadPool,
     width: usize,
-    base_opts: Options,
-    steps: Option<usize>,
-    max_steps: usize,
-    profile: Option<GemmProfile>,
-    alg: AlgSource,
+    /// Every cached plan is this planner plus a shape.
+    template: Planner,
     cache: Mutex<PlanCache<T>>,
     workspaces: Mutex<Vec<Workspace<T>>>,
     max_pooled_workspaces: usize,
@@ -426,22 +401,11 @@ struct EngineInner<T> {
 }
 
 impl<T: GemmScalar> EngineInner<T> {
-    fn key_for(&self, m: usize, k: usize, n: usize) -> PlanKey {
-        PlanKey {
-            shape: (m, k, n),
-            opts: Options {
-                steps: self.steps.unwrap_or(0),
-                ..self.base_opts
-            },
-            width: self.width,
-        }
-    }
-
     /// Cached plan for a shape, planning on miss. Planning runs outside
     /// the cache lock, so a concurrent first request for the same shape
     /// may plan twice (both misses counted); the later insert wins.
     fn plan_for(&self, m: usize, k: usize, n: usize) -> Result<Arc<Plan<T>>, EngineError> {
-        let key = self.key_for(m, k, n);
+        let key = (m, k, n);
         if let Some(plan) = self.cache.lock().unwrap().get(&key) {
             self.counters
                 .plan_cache_hits
@@ -462,31 +426,13 @@ impl<T: GemmScalar> EngineInner<T> {
     }
 
     fn build_plan(&self, m: usize, k: usize, n: usize) -> Result<Plan<T>, EngineError> {
-        let mut planner = Planner::new()
-            .shape(m, k, n)
-            .options(self.base_opts)
-            .max_steps(self.max_steps);
-        let catalog_decs: Vec<Decomposition>;
-        let schedule_refs: Vec<&Decomposition>;
-        match &self.alg {
-            AlgSource::Fixed(dec) => planner = planner.algorithm(dec),
-            AlgSource::Schedule(schedule) => {
-                schedule_refs = schedule.iter().collect();
-                planner = planner.schedule(&schedule_refs);
-            }
-            AlgSource::Catalog => {
-                catalog_decs = fmm_algo::candidates_for_shape(m, k, n)
-                    .into_iter()
-                    .map(|a| a.dec)
-                    .collect();
-                planner = planner.auto_algorithm(&catalog_decs);
-            }
-        }
-        if let Some(profile) = &self.profile {
-            planner = planner.profile(profile.clone());
-        }
-        if let Some(steps) = self.steps {
-            planner = planner.steps(steps);
+        let mut planner = self.template.clone().shape(m, k, n);
+        if !self.template.has_algorithm() {
+            let candidates: Vec<Decomposition> = fmm_algo::candidates_for_shape(m, k, n)
+                .into_iter()
+                .map(|a| a.dec)
+                .collect();
+            planner = planner.auto_algorithm(&candidates);
         }
         Ok(planner.plan::<T>()?)
     }

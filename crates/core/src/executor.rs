@@ -27,8 +27,7 @@
 //! `&mut [T]` workspace whose exact size is computed by walking the
 //! recursion tree once ([`required_workspace`]). The [`crate::Plan`] API
 //! computes that size at plan time and reuses a [`crate::Workspace`]
-//! across executes (zero allocation on the hot path); the lower-level
-//! [`FastMul`] allocates one right-sized buffer per call. Under the
+//! across executes (zero allocation on the hot path). Under the
 //! BFS/HYBRID schemes each spawned task receives a disjoint slice of the
 //! workspace, which makes the §4.2 memory growth factor explicit in
 //! [`crate::Plan::workspace_len`].
@@ -37,7 +36,7 @@ use crate::plan::{output_plan, side_plan, SidePlan, Var};
 use fmm_gemm::{gemm, par_gemm, GemmScalar};
 use fmm_matrix::kernels;
 use fmm_matrix::partition::{Grid, PeelSplit};
-use fmm_matrix::{DenseMatrix, MatMut, MatRef, Scalar};
+use fmm_matrix::{MatMut, MatRef, Scalar};
 use fmm_tensor::Decomposition;
 
 /// How the bandwidth-bound addition chains are evaluated (§3.2).
@@ -101,20 +100,11 @@ impl Scheme {
     }
 }
 
-/// Executor configuration.
-///
-/// `Eq`/`Hash` make a whole configuration usable as a cache key, which
-/// is how [`crate::FmmEngine`] indexes its plan cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Executor strategy: how each level's additions are evaluated, the
+/// parallel scheme and the remainder handling. Recursion depth is not
+/// part of it; [`crate::Planner`] decides that per shape.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Options {
-    /// Recursion depth (`steps` in the paper).
-    ///
-    /// Authoritative for [`FastMul::new`]. For schedule-based
-    /// constructors ([`FastMul::with_schedule`],
-    /// [`crate::Planner::schedule`]) the **schedule length** is the
-    /// depth: pass `steps: 0` (or the matching length) there — a
-    /// conflicting nonzero value trips a `debug_assert`.
-    pub steps: usize,
     /// Addition-chain evaluation strategy.
     pub additions: AdditionMethod,
     /// Apply greedy length-2 common subexpression elimination.
@@ -125,23 +115,11 @@ pub struct Options {
     pub border: BorderHandling,
 }
 
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            steps: 1,
-            additions: AdditionMethod::WriteOnce,
-            cse: false,
-            scheme: Scheme::Sequential,
-            border: BorderHandling::DynamicPeeling,
-        }
-    }
-}
-
 /// Execution statistics collected by
-/// [`FastMul::multiply_into_with_stats`]: used by the tests to verify
-/// the `R^L` leaf count and by the memory discussion of §4.2.
+/// [`crate::Plan::execute_with_stats`] and returned as an
+/// [`ExecStatsSnapshot`].
 #[derive(Debug, Default)]
-pub struct ExecStats {
+pub(crate) struct ExecStats {
     /// Base-case gemm calls (the "active multiplications").
     pub base_gemms: std::sync::atomic::AtomicU64,
     /// Classical fix-up products issued by dynamic peeling.
@@ -155,7 +133,9 @@ pub struct ExecStats {
     pub thread_mask: std::sync::atomic::AtomicU64,
 }
 
-/// Plain snapshot of [`ExecStats`]. Serializable
+/// Execution statistics of one [`crate::Plan::execute_with_stats`]
+/// run: used by the tests to verify the `R^L` leaf count and by the
+/// memory discussion of §4.2. Serializable
 /// ([`ExecStatsSnapshot::to_json`]/[`ExecStatsSnapshot::from_json`])
 /// so per-run execution statistics can cross a process boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -452,127 +432,10 @@ fn padded_dims<T>(levels: &[LevelPlan<T>], p: usize, q: usize, r: usize) -> (usi
     )
 }
 
-/// A configured fast multiplication ready to run on any problem size.
-///
-/// This is the low-level, shape-agnostic path: each call sizes and
-/// allocates one flat workspace buffer for the given operands, then
-/// runs allocation-free inside it. When the problem shape is known up
-/// front and the multiply repeats, prefer [`crate::Planner`] /
-/// [`crate::Plan::execute`], which hoist both the sizing walk and the
-/// allocation out of the hot path entirely.
-///
-/// Generic over the element type with the usual `f64` default;
-/// `FastMul::<f32>::new(..)` runs the same schedule in single
-/// precision.
-pub struct FastMul<T = f64> {
-    levels: Vec<LevelPlan<T>>,
-    opts: Options,
-}
-
-impl<T: GemmScalar> FastMul<T> {
-    /// Uniform algorithm: `opts.steps` recursive applications of `dec`.
-    ///
-    /// `opts.steps` is authoritative here (and only here); the
-    /// schedule-based constructor derives the depth from the schedule.
-    ///
-    /// # Panics
-    /// Panics when a decomposition coefficient is not representable in
-    /// `T` ([`Scalar::from_coeff`]); use [`crate::Planner`] for the
-    /// error-returning path.
-    pub fn new(dec: &Decomposition, opts: Options) -> Self {
-        let levels = (0..opts.steps)
-            .map(|_| {
-                LevelPlan::try_new(dec, opts.cse)
-                    .unwrap_or_else(|c| panic!("coefficient {c} not representable in {}", T::NAME))
-            })
-            .collect();
-        FastMul { levels, opts }
-    }
-
-    /// Composed algorithm: one decomposition per recursion level
-    /// (e.g. ⟨3,3,6⟩ ∘ ⟨3,6,3⟩ ∘ ⟨6,3,3⟩ for the ⟨54,54,54⟩ algorithm
-    /// of §5.2).
-    ///
-    /// The schedule length is the recursion depth. Pass `steps: 0` (or
-    /// a value equal to `schedule.len()`): any other nonzero value is a
-    /// configuration bug and trips a `debug_assert`. The stored options
-    /// are normalized so `steps == schedule.len()` afterwards.
-    ///
-    /// # Panics
-    /// As [`FastMul::new`], on unrepresentable coefficients.
-    pub fn with_schedule(schedule: &[&Decomposition], mut opts: Options) -> Self {
-        debug_assert!(
-            opts.steps == 0 || opts.steps == schedule.len(),
-            "Options::steps ({}) conflicts with schedule length ({}); \
-             the schedule length is authoritative — pass steps: 0",
-            opts.steps,
-            schedule.len()
-        );
-        opts.steps = schedule.len();
-        let levels = schedule
-            .iter()
-            .map(|d| {
-                LevelPlan::try_new(d, opts.cse)
-                    .unwrap_or_else(|c| panic!("coefficient {c} not representable in {}", T::NAME))
-            })
-            .collect();
-        FastMul { levels, opts }
-    }
-
-    /// `C = A · B` into a fresh matrix.
-    pub fn multiply(&self, a: &DenseMatrix<T>, b: &DenseMatrix<T>) -> DenseMatrix<T> {
-        assert_eq!(a.cols(), b.rows(), "inner dimension mismatch");
-        let mut c = DenseMatrix::zeros(a.rows(), b.cols());
-        self.multiply_into(a.as_ref(), b.as_ref(), c.as_mut());
-        c
-    }
-
-    /// `C = A · B` into a caller-provided view (contents overwritten).
-    pub fn multiply_into(&self, a: MatRef<'_, T>, b: MatRef<'_, T>, c: MatMut<'_, T>) {
-        self.run(a, b, c, None);
-    }
-
-    /// As [`FastMul::multiply_into`], additionally returning execution
-    /// statistics (leaf gemm count, peel fix-ups, temporary footprint).
-    pub fn multiply_into_with_stats(
-        &self,
-        a: MatRef<'_, T>,
-        b: MatRef<'_, T>,
-        c: MatMut<'_, T>,
-    ) -> ExecStatsSnapshot {
-        let stats = ExecStats::default();
-        let steals_before = fmm_runtime::steal_count();
-        let ws_len = self.run(a, b, c, Some(&stats));
-        let tasks_stolen = fmm_runtime::steal_count() - steals_before;
-        stats.snapshot(
-            (ws_len * std::mem::size_of::<T>()) as u64,
-            false,
-            tasks_stolen,
-        )
-    }
-
-    fn run(
-        &self,
-        a: MatRef<'_, T>,
-        b: MatRef<'_, T>,
-        c: MatMut<'_, T>,
-        stats: Option<&ExecStats>,
-    ) -> usize {
-        let len = required_workspace(&self.levels, &self.opts, a.rows(), a.cols(), b.cols());
-        let mut buf = vec![T::ZERO; len];
-        execute_on(&self.levels, &self.opts, a, b, c, stats, &mut buf);
-        len
-    }
-
-    /// Recursion depth of this executor.
-    pub fn depth(&self) -> usize {
-        self.levels.len()
-    }
-}
-
 /// Run the schedule inside `ws`, which must hold at least
-/// [`required_workspace`] elements. Shared by [`FastMul`] (fresh buffer
-/// per call) and [`crate::Plan::execute`] (reused [`crate::Workspace`]).
+/// [`required_workspace`] elements: the body of
+/// [`crate::Plan::execute`], which passes its reused
+/// [`crate::Workspace`].
 pub(crate) fn execute_on<T: GemmScalar>(
     levels: &[LevelPlan<T>],
     opts: &Options,

@@ -79,16 +79,16 @@
 //! thread), and [`FmmEngine::submit_batch`] fans out mixed-shape
 //! streams — the front door a server hands its request threads.
 //!
-//! [`FastMul`] remains as the low-level, shape-agnostic path (one
-//! right-sized workspace allocation per call) for callers that multiply
-//! each shape once.
+//! `Planner` → `Plan` is the only way into the executor: the engine is
+//! a cache of plans built from one `Planner` template, and [`Options`]
+//! carries only the executor strategy, never the depth.
 //!
 //! # Element types
 //!
 //! Every layer here is generic over [`fmm_matrix::Scalar`] (through
 //! the [`GemmScalar`] bound that adds the per-type packed microkernel),
 //! with `f64` as the default type parameter everywhere: `Plan`,
-//! `Workspace`, `FastMul`, `FmmEngine` written without a parameter mean
+//! `Workspace`, `FmmEngine` written without a parameter mean
 //! exactly what they did before generics. `f32` is the second shipped
 //! instantiation — `Planner::plan::<f32>()`,
 //! `FmmEngine::<f32>::builder()` — with decomposition coefficients
@@ -118,35 +118,13 @@ pub use certificate::PlanCertificate;
 pub use codegen::generate_rust;
 pub use cutoff::GemmProfile;
 pub use engine::{shape_class, EngineBuilder, EngineError, EngineStats, FmmEngine, MultiplyHandle};
-pub use executor::{
-    AdditionMethod, BorderHandling, ExecStats, ExecStatsSnapshot, FastMul, Options, Scheme,
-};
+pub use executor::{AdditionMethod, BorderHandling, ExecStatsSnapshot, Options, Scheme};
 pub use fmm_gemm::{classical_flops, effective_gflops, GemmScalar};
 pub use plan::{cse_stats, CseStats};
 pub use planner::{Plan, PlanError, Planner};
 pub use workspace::Workspace;
 
-use fmm_matrix::DenseMatrix;
 use fmm_tensor::Decomposition;
-
-/// One-call helper: multiply with a fast algorithm using default
-/// options and the given number of recursive steps. Generic over the
-/// element type (inferred from the operands).
-pub fn fast_multiply<T: GemmScalar>(
-    dec: &Decomposition,
-    a: &DenseMatrix<T>,
-    b: &DenseMatrix<T>,
-    steps: usize,
-) -> DenseMatrix<T> {
-    FastMul::new(
-        dec,
-        Options {
-            steps,
-            ..Options::default()
-        },
-    )
-    .multiply(a, b)
-}
 
 /// Number of leaf (base-case) multiplications a uniform `L`-step run of
 /// the algorithm performs on a divisible problem: `R^L`.
@@ -223,16 +201,35 @@ mod tests {
         c
     }
 
-    fn check(dec: &Decomposition, p: usize, q: usize, r: usize, opts: Options, seed: u64) {
+    /// `A · B` through a plan for `planner` at the operands' shape,
+    /// into an output pre-filled with 123.0 so unwritten entries show.
+    fn run(planner: Planner, a: &Matrix, b: &Matrix) -> Matrix {
+        let plan = planner.shape(a.rows(), a.cols(), b.cols()).plan().unwrap();
+        let mut c = Matrix::filled(a.rows(), b.cols(), 123.0);
+        plan.execute(a, b, &mut c, &mut Workspace::for_plan(&plan));
+        c
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn check(
+        dec: &Decomposition,
+        p: usize,
+        q: usize,
+        r: usize,
+        steps: usize,
+        opts: Options,
+        seed: u64,
+    ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = Matrix::random(p, q, &mut rng);
         let b = Matrix::random(q, r, &mut rng);
         let want = reference(&a, &b);
-        let got = FastMul::new(dec, opts).multiply(&a, &b);
+        let planner = Planner::new().algorithm(dec).steps(steps).options(opts);
+        let got = run(planner, &a, &b);
         let d = max_abs_diff(&want.as_ref(), &got.as_ref()).unwrap();
         assert!(
             d < 1e-9 * q as f64,
-            "mismatch {d} for {p}x{q}x{r} opts {opts:?}"
+            "mismatch {d} for {p}x{q}x{r} steps {steps} opts {opts:?}"
         );
     }
 
@@ -240,19 +237,16 @@ mod tests {
     fn strassen_one_step_exact_dims() {
         let s = strassen();
         s.verify(0.0).unwrap();
-        check(&s, 64, 64, 64, Options::default(), 1);
+        check(&s, 64, 64, 64, 1, Options::default(), 1);
     }
 
     #[test]
     fn strassen_multi_step_and_peeling() {
         let s = strassen();
         for steps in 1..=3 {
-            let opts = Options {
-                steps,
-                ..Options::default()
-            };
-            check(&s, 97, 53, 71, opts, 2); // odd sizes force peeling
-            check(&s, 96, 96, 96, opts, 3);
+            let opts = Options::default();
+            check(&s, 97, 53, 71, steps, opts, 2); // odd sizes force peeling
+            check(&s, 96, 96, 96, steps, opts, 3);
         }
     }
 
@@ -266,13 +260,12 @@ mod tests {
         ] {
             for cse in [false, true] {
                 let opts = Options {
-                    steps: 2,
                     additions,
                     cse,
                     ..Options::default()
                 };
-                check(&s, 60, 60, 60, opts, 4);
-                check(&s, 59, 61, 67, opts, 5);
+                check(&s, 60, 60, 60, 2, opts, 4);
+                check(&s, 59, 61, 67, 2, opts, 5);
             }
         }
     }
@@ -287,12 +280,9 @@ mod tests {
         for dec in [&a223, &a224] {
             dec.verify(1e-12).unwrap();
             for steps in 1..=2 {
-                let opts = Options {
-                    steps,
-                    ..Options::default()
-                };
-                check(dec, 48, 44, 60, opts, 6);
-                check(dec, 50, 45, 61, opts, 7);
+                let opts = Options::default();
+                check(dec, 48, 44, 60, steps, opts, 6);
+                check(dec, 50, 45, 61, steps, opts, 7);
             }
         }
     }
@@ -307,13 +297,12 @@ mod tests {
                 AdditionMethod::Streaming,
             ] {
                 let opts = Options {
-                    steps: 2,
                     additions,
                     scheme,
                     ..Options::default()
                 };
-                check(&s, 80, 80, 80, opts, 8);
-                check(&s, 83, 77, 85, opts, 9);
+                check(&s, 80, 80, 80, 2, opts, 8);
+                check(&s, 83, 77, 85, 2, opts, 9);
             }
         }
     }
@@ -324,18 +313,11 @@ mod tests {
         let s = strassen();
         let a223 = direct_sum_n(&s, &classical(2, 2, 1));
         let sched = [&s, &a223];
-        let fm = FastMul::with_schedule(
-            &sched,
-            Options {
-                steps: 0, // schedule length is authoritative
-                ..Options::default()
-            },
-        );
         let mut rng = StdRng::seed_from_u64(10);
         let a = Matrix::random(4 * 13, 4 * 9, &mut rng);
         let b = Matrix::random(4 * 9, 6 * 7, &mut rng);
         let want = reference(&a, &b);
-        let got = fm.multiply(&a, &b);
+        let got = run(Planner::new().schedule(&sched), &a, &b);
         let d = max_abs_diff(&want.as_ref(), &got.as_ref()).unwrap();
         assert!(d < 1e-10 * a.cols() as f64, "mismatch {d}");
     }
@@ -343,35 +325,15 @@ mod tests {
     #[test]
     fn zero_steps_is_plain_gemm() {
         let s = strassen();
-        check(
-            &s,
-            33,
-            45,
-            27,
-            Options {
-                steps: 0,
-                ..Options::default()
-            },
-            11,
-        );
+        check(&s, 33, 45, 27, 0, Options::default(), 11);
     }
 
     #[test]
     fn tiny_problems_fall_back_to_gemm() {
         let s = strassen();
         // 1×1×1 and problems smaller than the base case.
-        check(&s, 1, 1, 1, Options::default(), 12);
-        check(
-            &s,
-            1,
-            5,
-            3,
-            Options {
-                steps: 2,
-                ..Options::default()
-            },
-            13,
-        );
+        check(&s, 1, 1, 1, 1, Options::default(), 12);
+        check(&s, 1, 5, 3, 2, Options::default(), 13);
     }
 
     #[test]
@@ -390,14 +352,14 @@ mod tests {
     }
 
     #[test]
-    fn multiply_into_writes_over_existing_content() {
+    fn execute_writes_over_existing_content() {
+        // `run` starts every output filled with 123.0.
         let s = strassen();
         let mut rng = StdRng::seed_from_u64(14);
         let a = Matrix::random(32, 32, &mut rng);
         let b = Matrix::random(32, 32, &mut rng);
         let want = reference(&a, &b);
-        let mut c = Matrix::filled(32, 32, 123.0);
-        FastMul::new(&s, Options::default()).multiply_into(a.as_ref(), b.as_ref(), c.as_mut());
+        let c = run(Planner::new().algorithm(&s).steps(1), &a, &b);
         let d = max_abs_diff(&want.as_ref(), &c.as_ref()).unwrap();
         assert!(d < 1e-10);
     }

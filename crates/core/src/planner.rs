@@ -16,8 +16,7 @@
 use crate::certificate::PlanCertificate;
 use crate::cutoff::GemmProfile;
 use crate::executor::{
-    execute_on, required_workspace, AdditionMethod, BorderHandling, ExecStats, ExecStatsSnapshot,
-    LevelPlan, Options, Scheme,
+    execute_on, required_workspace, ExecStats, ExecStatsSnapshot, LevelPlan, Options,
 };
 use crate::workspace::Workspace;
 use fmm_gemm::GemmScalar;
@@ -89,6 +88,7 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
+#[derive(Clone)]
 enum AlgChoice {
     None,
     /// One decomposition applied uniformly for the chosen depth.
@@ -126,16 +126,18 @@ enum AlgChoice {
 /// let mut c = Matrix::zeros(128, 128);
 /// plan.execute(&a, &b, &mut c, &mut ws); // plan once, execute many
 /// ```
+///
+/// A configured planner without a shape is a reusable template:
+/// [`crate::FmmEngine`] keeps one and plans `template.clone().shape(..)`
+/// for every new problem shape.
+#[derive(Clone)]
 pub struct Planner {
     shape: Option<(usize, usize, usize)>,
     alg: AlgChoice,
     steps: Option<usize>,
     max_steps: usize,
     profile: Option<GemmProfile>,
-    additions: AdditionMethod,
-    cse: bool,
-    scheme: Scheme,
-    border: BorderHandling,
+    opts: Options,
 }
 
 impl Default for Planner {
@@ -145,8 +147,9 @@ impl Default for Planner {
 }
 
 impl Planner {
-    /// A planner with the executor defaults (write-once additions,
-    /// sequential scheme, dynamic peeling, no CSE).
+    /// A planner with the executor defaults ([`Options::default`]:
+    /// write-once additions, sequential scheme, dynamic peeling, no
+    /// CSE).
     #[must_use]
     pub fn new() -> Self {
         Planner {
@@ -155,10 +158,7 @@ impl Planner {
             steps: None,
             max_steps: 4,
             profile: None,
-            additions: AdditionMethod::WriteOnce,
-            cse: false,
-            scheme: Scheme::Sequential,
-            border: BorderHandling::DynamicPeeling,
+            opts: Options::default(),
         }
     }
 
@@ -226,46 +226,19 @@ impl Planner {
         self
     }
 
-    /// Addition-chain evaluation strategy (§3.2).
-    #[must_use]
-    pub fn additions(mut self, additions: AdditionMethod) -> Self {
-        self.additions = additions;
-        self
-    }
-
-    /// Greedy length-2 common subexpression elimination (§3.3).
-    #[must_use]
-    pub fn cse(mut self, cse: bool) -> Self {
-        self.cse = cse;
-        self
-    }
-
-    /// Parallel scheme (§4). BFS/HYBRID plans reserve disjoint
-    /// workspace for every concurrent task, making the §4.2 memory
-    /// factor visible in [`Plan::workspace_len`].
-    #[must_use]
-    pub fn scheme(mut self, scheme: Scheme) -> Self {
-        self.scheme = scheme;
-        self
-    }
-
-    /// Remainder handling for non-divisible dimensions (§3.5).
-    #[must_use]
-    pub fn border(mut self, border: BorderHandling) -> Self {
-        self.border = border;
-        self
-    }
-
-    /// Absorb the strategy fields of an executor [`Options`]
-    /// (additions, cse, scheme, border). `steps` is deliberately *not*
-    /// copied — set it via [`Planner::steps`] or let the profile decide.
+    /// Executor strategy: additions (§3.2), CSE (§3.3), parallel
+    /// scheme (§4) and border handling (§3.5). BFS/HYBRID plans reserve
+    /// disjoint workspace for every concurrent task, making the §4.2
+    /// memory factor visible in [`Plan::workspace_len`].
     #[must_use]
     pub fn options(mut self, opts: Options) -> Self {
-        self.additions = opts.additions;
-        self.cse = opts.cse;
-        self.scheme = opts.scheme;
-        self.border = opts.border;
+        self.opts = opts;
         self
+    }
+
+    /// Whether an algorithm, schedule or candidate list was set.
+    pub(crate) fn has_algorithm(&self) -> bool {
+        !matches!(self.alg, AlgChoice::None)
     }
 
     /// Depth the cutoff rule recommends for `dec` on this problem: the
@@ -324,13 +297,7 @@ impl Planner {
                 vec![dec.clone(); steps]
             }
         };
-        let opts = Options {
-            steps: schedule.len(),
-            additions: self.additions,
-            cse: self.cse,
-            scheme: self.scheme,
-            border: self.border,
-        };
+        let opts = self.opts;
         let levels: Vec<LevelPlan<T>> = schedule
             .iter()
             .map(|d| {
@@ -386,8 +353,7 @@ impl<T: GemmScalar> Plan<T> {
         self.levels.len()
     }
 
-    /// The resolved executor options (with `steps` normalized to the
-    /// schedule length).
+    /// The executor strategy this plan runs with.
     pub fn options(&self) -> Options {
         self.opts
     }
@@ -570,8 +536,6 @@ mod tests {
             .plan::<f64>()
             .unwrap();
         assert!(plan.depth() > 0);
-        let lv = plan.options();
-        assert_eq!(lv.steps, plan.depth());
     }
 
     #[test]

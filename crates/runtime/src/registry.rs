@@ -218,7 +218,7 @@ impl Registry {
     }
 
     /// The work-stealing wait discipline shared by every blocked
-    /// worker-side wait (`join` latches, [`JobHandle::wait`]): execute
+    /// worker-side wait (`join` latches, `scope`, [`JobHandle::wait`]): execute
     /// other jobs while `probe` holds, spinning briefly then yielding
     /// when none exist. Only callable on a worker of this registry.
     fn wait_while(&self, index: usize, probe: impl Fn() -> bool) {
@@ -633,18 +633,43 @@ impl SendPtr {
     }
 }
 
+/// Completion state shared by a [`Scope`] and every task it spawned.
+///
+/// It lives on the heap, not in the `scope` caller's frame: the owner
+/// returns as soon as it reads `pending == 0`, so anything a task
+/// touches after its final decrement must outlive that frame. Each task
+/// holds an `Arc` to it for exactly that reason.
+struct ScopeState {
+    /// Outstanding tasks (+1 virtual token held by the scope body, so
+    /// the count cannot reach zero before `wait_all` runs).
+    pending: AtomicUsize,
+    /// First task panic, rethrown after all tasks finish.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+impl ScopeState {
+    fn store_panic(&self, payload: Box<dyn Any + Send>) {
+        let mut slot = self.panic.lock().unwrap();
+        if slot.is_none() {
+            *slot = Some(payload);
+        }
+    }
+
+    fn task_done(&self) {
+        self.pending.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    fn is_pending(&self) -> bool {
+        self.pending.load(Ordering::SeqCst) > 0
+    }
+}
+
 /// Structured task scope handed to [`scope`] closures: every task
 /// spawned through it completes before `scope` returns, so tasks may
 /// borrow from the enclosing environment (`'scope`).
 pub struct Scope<'scope> {
     registry: Arc<Registry>,
-    /// Outstanding tasks (+1 virtual token held by the scope body, so
-    /// the count cannot reach zero before `complete` runs).
-    pending: AtomicUsize,
-    /// First task panic, rethrown after all tasks finish.
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-    done_mutex: Mutex<()>,
-    done_cond: Condvar,
+    state: Arc<ScopeState>,
     /// Invariant over `'scope`, as in rayon.
     marker: PhantomData<&'scope mut &'scope ()>,
 }
@@ -653,10 +678,10 @@ impl<'scope> Scope<'scope> {
     fn new(registry: Arc<Registry>) -> Self {
         Scope {
             registry,
-            pending: AtomicUsize::new(1),
-            panic: Mutex::new(None),
-            done_mutex: Mutex::new(()),
-            done_cond: Condvar::new(),
+            state: Arc::new(ScopeState {
+                pending: AtomicUsize::new(1),
+                panic: Mutex::new(None),
+            }),
             marker: PhantomData,
         }
     }
@@ -669,16 +694,20 @@ impl<'scope> Scope<'scope> {
     where
         F: FnOnce(&Scope<'scope>) + Send + 'scope,
     {
-        self.pending.fetch_add(1, Ordering::SeqCst);
+        self.state.pending.fetch_add(1, Ordering::SeqCst);
+        let state = Arc::clone(&self.state);
         let scope_ptr = SendPtr(self as *const Scope<'scope> as *const ());
         let task = move || {
-            // SAFETY: the scope blocks in `wait_all` until `pending`
-            // drains, so the pointer is valid for the task's lifetime.
+            // SAFETY: this task holds a `pending` token until
+            // `task_done` below, and the scope blocks in `wait_all`
+            // until `pending` drains, so the pointer is valid here.
             let scope = unsafe { &*(scope_ptr.get() as *const Scope<'scope>) };
             if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| body(scope))) {
-                scope.store_panic(payload);
+                state.store_panic(payload);
             }
-            scope.task_done(); // must be the task's last touch of the scope
+            // Last touch of anything shared; `state` is kept alive by
+            // this task's own `Arc`, not by the scope's frame.
+            state.task_done();
         };
         let job = HeapJob::into_job_ref(task);
         match self.registry.current_index() {
@@ -695,54 +724,17 @@ impl<'scope> Scope<'scope> {
         }
     }
 
-    fn store_panic(&self, payload: Box<dyn Any + Send>) {
-        let mut slot = self.panic.lock().unwrap();
-        if slot.is_none() {
-            *slot = Some(payload);
-        }
-    }
-
-    fn task_done(&self) {
-        if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-            let _guard = self.done_mutex.lock().unwrap();
-            self.done_cond.notify_all();
-        }
-    }
-
-    /// Block until every spawned task has finished. On a worker this is
-    /// a work-stealing wait (executing pending tasks, including this
-    /// scope's own); externally it parks on the scope's condvar.
+    /// Block until every spawned task has finished, executing pending
+    /// tasks (including this scope's own) meanwhile. Scopes only ever
+    /// run on a worker of their registry (see [`scope`]).
     fn wait_all(&self) {
         // Release the scope body's virtual token.
-        self.task_done();
-        match self.registry.current_index() {
-            Some(index) => {
-                let mut idle_spins = 0u32;
-                while self.pending.load(Ordering::SeqCst) > 0 {
-                    if let Some(job) = self.registry.find_work(index) {
-                        // SAFETY: `find_work` hands out each queued job
-                        // exactly once, live until run.
-                        unsafe { job.execute() };
-                        idle_spins = 0;
-                    } else if idle_spins < 32 {
-                        idle_spins += 1;
-                        std::hint::spin_loop();
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-            }
-            None => {
-                let mut guard = self.done_mutex.lock().unwrap();
-                while self.pending.load(Ordering::SeqCst) > 0 {
-                    let (g, _) = self
-                        .done_cond
-                        .wait_timeout(guard, Duration::from_millis(10))
-                        .unwrap();
-                    guard = g;
-                }
-            }
-        }
+        self.state.task_done();
+        let index = self
+            .registry
+            .current_index()
+            .expect("a scope runs on a worker of its own pool");
+        self.registry.wait_while(index, || self.state.is_pending());
     }
 }
 
@@ -786,7 +778,7 @@ where
     s.wait_all();
     match result {
         Ok(r) => {
-            if let Some(payload) = s.panic.lock().unwrap().take() {
+            if let Some(payload) = s.state.panic.lock().unwrap().take() {
                 panic::resume_unwind(payload);
             }
             r

@@ -1,7 +1,7 @@
 //! `discover-flip`: certified flip-graph scheme discovery.
 //!
 //! Runs the seeded parallel flip-graph exploration of
-//! [`fmm_search::explore`] against one or more base cases and emits
+//! [`fmm_search::explore()`] against one or more base cases and emits
 //! every goal-reaching scheme as a `.alg` coefficient file — but only
 //! after [`fmm_verify::certify_exact`] has proved all Brent equations
 //! identically in ℚ. An uncertified scheme is never written and fails

@@ -26,7 +26,7 @@
 //! exact ℤ-coefficient schemes ("Fast Matrix Multiplication in Small
 //! Formats", PAPERS.md): [`scheme`] is the integer state space,
 //! [`flip`] the tensor-preserving moves (flips, reductions, splits),
-//! and [`explore`] the seeded parallel random-walk driver. Where ALS
+//! and [`explore()`] the seeded parallel random-walk driver. Where ALS
 //! descends a float residual and must *round* its way back to an exact
 //! algorithm, every flip-graph state is exact by construction — the
 //! search's only objective is rank. The `discover-flip` binary runs it

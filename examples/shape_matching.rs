@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example shape_matching`
 
 use fast_matmul::algo;
-use fast_matmul::core::{effective_gflops, FastMul, Options};
+use fast_matmul::core::{effective_gflops, Planner, Workspace};
 use fast_matmul::gemm;
 use fast_matmul::matrix::Matrix;
 use rand::rngs::StdRng;
@@ -42,14 +42,18 @@ fn main() {
         let mut best = f64::INFINITY;
         let mut best_steps = 1;
         for steps in [1usize, 2] {
-            let fm = FastMul::new(
-                &alg.dec,
-                Options {
-                    steps,
-                    ..Options::default()
-                },
-            );
-            let (c, secs) = time_it(|| fm.multiply(&a, &b));
+            let plan = Planner::new()
+                .shape(n, k, n)
+                .algorithm(&alg.dec)
+                .steps(steps)
+                .plan()
+                .unwrap();
+            let mut ws = Workspace::for_plan(&plan);
+            let (c, secs) = time_it(|| {
+                let mut c = Matrix::zeros(n, n);
+                plan.execute(&a, &b, &mut c, &mut ws);
+                c
+            });
             let err = fast_matmul::matrix::relative_error(&c.as_ref(), &c_ref.as_ref());
             assert!(
                 err < 1e-10,

@@ -56,8 +56,9 @@
 //!     .unwrap();
 //! ```
 //!
-//! [`core::FastMul`] remains the low-level shape-agnostic path (it
-//! sizes and allocates one workspace per call) for one-shot multiplies.
+//! `Planner` → `Plan` is the one way into the executor; [`Options`]
+//! holds only the strategy (additions, CSE, scheme, border), and the
+//! depth comes from `Planner::steps`, a schedule or the profile.
 //!
 //! # Element types
 //!
@@ -130,6 +131,6 @@ pub use fmm_trace as trace;
 pub use fmm_verify as verify;
 
 pub use fmm_core::{
-    EngineBuilder, EngineError, EngineStats, FastMul, FmmEngine, GemmProfile, MultiplyHandle,
-    Options, Plan, PlanCertificate, PlanError, Planner, Workspace,
+    EngineBuilder, EngineError, EngineStats, FmmEngine, GemmProfile, MultiplyHandle, Options, Plan,
+    PlanCertificate, PlanError, Planner, Workspace,
 };

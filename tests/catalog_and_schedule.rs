@@ -2,10 +2,18 @@
 //! the composed ⟨54,54,54⟩ schedule.
 
 use fast_matmul::algo;
-use fast_matmul::core::{FastMul, Options};
+use fast_matmul::core::{Planner, Workspace};
 use fast_matmul::matrix::{max_abs_diff, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// `A · B` through a plan for `planner` at the operands' shape.
+fn multiply(planner: Planner, a: &Matrix, b: &Matrix) -> Matrix {
+    let plan = planner.shape(a.rows(), a.cols(), b.cols()).plan().unwrap();
+    let mut c = Matrix::zeros(a.rows(), b.cols());
+    plan.execute(a, b, &mut c, &mut Workspace::for_plan(&plan));
+    c
+}
 
 #[test]
 fn table2_ranks_never_exceed_derived_upper_bounds() {
@@ -38,20 +46,13 @@ fn table2_ranks_never_exceed_derived_upper_bounds() {
 fn schedule_54_multiplies_correctly_on_divisible_size() {
     let sched = algo::schedule_54();
     let refs: Vec<&fast_matmul::tensor::Decomposition> = sched.iter().collect();
-    let fm = FastMul::with_schedule(
-        &refs,
-        Options {
-            steps: 0, // schedule length is authoritative
-            ..Options::default()
-        },
-    );
     let n = 108; // 2 × 54
     let mut rng = StdRng::seed_from_u64(1);
     let a = Matrix::random(n, n, &mut rng);
     let b = Matrix::random(n, n, &mut rng);
     let mut want = Matrix::zeros(n, n);
     fast_matmul::gemm::naive_gemm(1.0, a.as_ref(), b.as_ref(), 0.0, want.as_mut());
-    let got = fm.multiply(&a, &b);
+    let got = multiply(Planner::new().schedule(&refs), &a, &b);
     let d = max_abs_diff(&want.as_ref(), &got.as_ref()).unwrap();
     assert!(d < 1e-9, "diff {d}");
 }
@@ -60,20 +61,13 @@ fn schedule_54_multiplies_correctly_on_divisible_size() {
 fn schedule_54_handles_non_divisible_sizes_via_peeling() {
     let sched = algo::schedule_54();
     let refs: Vec<&fast_matmul::tensor::Decomposition> = sched.iter().collect();
-    let fm = FastMul::with_schedule(
-        &refs,
-        Options {
-            steps: 0, // schedule length is authoritative
-            ..Options::default()
-        },
-    );
     let (p, q, r) = (100, 75, 131);
     let mut rng = StdRng::seed_from_u64(2);
     let a = Matrix::random(p, q, &mut rng);
     let b = Matrix::random(q, r, &mut rng);
     let mut want = Matrix::zeros(p, r);
     fast_matmul::gemm::naive_gemm(1.0, a.as_ref(), b.as_ref(), 0.0, want.as_mut());
-    let got = fm.multiply(&a, &b);
+    let got = multiply(Planner::new().schedule(&refs), &a, &b);
     let d = max_abs_diff(&want.as_ref(), &got.as_ref()).unwrap();
     assert!(d < 1e-9, "diff {d}");
 }
@@ -121,7 +115,7 @@ fn apa_entries_if_present_have_small_residual_and_run() {
         let b = Matrix::random(q, r, &mut rng);
         let mut want = Matrix::zeros(p, r);
         fast_matmul::gemm::naive_gemm(1.0, a.as_ref(), b.as_ref(), 0.0, want.as_mut());
-        let got = FastMul::new(&apa.dec, Options::default()).multiply(&a, &b);
+        let got = multiply(Planner::new().algorithm(&apa.dec).steps(1), &a, &b);
         let err = fast_matmul::matrix::relative_error(&got.as_ref(), &want.as_ref());
         assert!(
             err < residual.max(1e-12) * 1e3 + 1e-9,

@@ -4,7 +4,7 @@
 //! dynamic peeling at every level.
 
 use fast_matmul::algo;
-use fast_matmul::core::{AdditionMethod, FastMul, Options, Scheme};
+use fast_matmul::core::{AdditionMethod, Options, Planner, Scheme, Workspace};
 use fast_matmul::matrix::{max_abs_diff, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -15,11 +15,33 @@ fn reference(a: &Matrix, b: &Matrix) -> Matrix {
     c
 }
 
+/// `A · B` through a plan of `steps` levels of `dec` with `opts`.
+fn multiply(
+    dec: &fast_matmul::tensor::Decomposition,
+    steps: usize,
+    opts: Options,
+    a: &Matrix,
+    b: &Matrix,
+) -> Matrix {
+    let plan = Planner::new()
+        .shape(a.rows(), a.cols(), b.cols())
+        .algorithm(dec)
+        .steps(steps)
+        .options(opts)
+        .plan()
+        .unwrap();
+    let mut c = Matrix::zeros(a.rows(), b.cols());
+    plan.execute(a, b, &mut c, &mut Workspace::for_plan(&plan));
+    c
+}
+
+#[allow(clippy::too_many_arguments)]
 fn check(
     dec: &fast_matmul::tensor::Decomposition,
     p: usize,
     q: usize,
     r: usize,
+    steps: usize,
     opts: Options,
     seed: u64,
 ) {
@@ -27,11 +49,11 @@ fn check(
     let a = Matrix::random(p, q, &mut rng);
     let b = Matrix::random(q, r, &mut rng);
     let want = reference(&a, &b);
-    let got = FastMul::new(dec, opts).multiply(&a, &b);
+    let got = multiply(dec, steps, opts, &a, &b);
     let d = max_abs_diff(&want.as_ref(), &got.as_ref()).unwrap();
     assert!(
         d < 1e-9 * q as f64,
-        "mismatch {d:.3e} at {p}x{q}x{r} with {opts:?}"
+        "mismatch {d:.3e} at {p}x{q}x{r} with {steps} steps, {opts:?}"
     );
 }
 
@@ -49,10 +71,8 @@ fn every_catalog_algorithm_multiplies_correctly() {
                 p,
                 q,
                 r,
-                Options {
-                    steps,
-                    ..Options::default()
-                },
+                steps,
+                Options::default(),
                 1000 + steps as u64,
             );
         }
@@ -74,8 +94,8 @@ fn strategy_matrix_full_cross_product() {
                     101,
                     67,
                     89,
+                    2,
                     Options {
-                        steps: 2,
                         additions,
                         cse,
                         scheme,
@@ -98,24 +118,26 @@ fn cse_on_catalog_algorithms_changes_nothing() {
         let (p, q, r) = (m * 20, k * 20, n * 20);
         let a = Matrix::random(p, q, &mut rng);
         let b = Matrix::random(q, r, &mut rng);
-        let plain = FastMul::new(
+        let plain = multiply(
             &alg.dec,
+            1,
             Options {
-                steps: 1,
                 cse: false,
                 ..Options::default()
             },
-        )
-        .multiply(&a, &b);
-        let with_cse = FastMul::new(
+            &a,
+            &b,
+        );
+        let with_cse = multiply(
             &alg.dec,
+            1,
             Options {
-                steps: 1,
                 cse: true,
                 ..Options::default()
             },
-        )
-        .multiply(&a, &b);
+            &a,
+            &b,
+        );
         let d = max_abs_diff(&plain.as_ref(), &with_cse.as_ref()).unwrap();
         assert!(d < 1e-10, "{name}: CSE changed the result by {d:.2e}");
     }
@@ -124,43 +146,23 @@ fn cse_on_catalog_algorithms_changes_nothing() {
 #[test]
 fn deep_recursion_on_divisible_sizes() {
     let strassen = algo::by_name("strassen").unwrap().dec;
-    check(
-        &strassen,
-        256,
-        256,
-        256,
-        Options {
-            steps: 5,
-            ..Options::default()
-        },
-        13,
-    );
+    check(&strassen, 256, 256, 256, 5, Options::default(), 13);
 }
 
 #[test]
 fn extreme_aspect_ratios() {
     let a424 = algo::by_name("<4,2,4>").unwrap().dec;
-    check(&a424, 400, 16, 400, Options::default(), 17); // outer product
+    check(&a424, 400, 16, 400, 1, Options::default(), 17); // outer product
     let a433 = algo::by_name("<4,3,3>").unwrap().dec;
-    check(&a433, 500, 27, 27, Options::default(), 19); // tall and skinny
+    check(&a433, 500, 27, 27, 1, Options::default(), 19); // tall and skinny
     let strassen = algo::by_name("strassen").unwrap().dec;
-    check(&strassen, 8, 512, 8, Options::default(), 23); // inner product shape
+    check(&strassen, 8, 512, 8, 1, Options::default(), 23); // inner product shape
 }
 
 #[test]
 fn one_dimensional_degenerate_cases() {
     let strassen = algo::by_name("strassen").unwrap().dec;
     for (p, q, r) in [(1, 64, 64), (64, 1, 64), (64, 64, 1), (1, 1, 1)] {
-        check(
-            &strassen,
-            p,
-            q,
-            r,
-            Options {
-                steps: 2,
-                ..Options::default()
-            },
-            29,
-        );
+        check(&strassen, p, q, r, 2, Options::default(), 29);
     }
 }

@@ -5,7 +5,7 @@
 //! random matrix to the `tests/correctness.rs` tolerance.
 
 use fast_matmul::algo;
-use fast_matmul::core::{FastMul, Options};
+use fast_matmul::core::{Planner, Workspace};
 use fast_matmul::matrix::{max_abs_diff, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -64,14 +64,14 @@ fn every_exact_embedded_file_satisfies_brent_and_multiplies() {
             let b = Matrix::random(q, r, &mut rng);
             let mut want = Matrix::zeros(p, r);
             fast_matmul::gemm::naive_gemm(1.0, a.as_ref(), b.as_ref(), 0.0, want.as_mut());
-            let got = FastMul::new(
-                &dec,
-                Options {
-                    steps: 1,
-                    ..Options::default()
-                },
-            )
-            .multiply(&a, &b);
+            let plan = Planner::new()
+                .shape(p, q, r)
+                .algorithm(&dec)
+                .steps(1)
+                .plan()
+                .unwrap();
+            let mut got = Matrix::zeros(p, r);
+            plan.execute(&a, &b, &mut got, &mut Workspace::for_plan(&plan));
             let d = max_abs_diff(&want.as_ref(), &got.as_ref()).unwrap();
             assert!(d < 1e-9 * q as f64, "{name} on {p}x{q}x{r}: diff {d}");
         }

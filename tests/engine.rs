@@ -12,7 +12,8 @@ use fast_matmul::{EngineError, FmmEngine, Workspace};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 fn random_problem(m: usize, k: usize, n: usize, seed: u64) -> (Matrix, Matrix) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -28,7 +29,7 @@ fn reference(a: &Matrix, b: &Matrix) -> Matrix {
     c
 }
 
-/// The acceptance stress test: ≥4 client OS threads hammer one engine
+/// The acceptance stress test: client OS threads hammer one engine
 /// with a mixed-shape stream through both the sync (`multiply`) and
 /// async (`submit` + `wait`) paths, and every single result must be
 /// bitwise identical to the same cached `Plan` executed one-at-a-time
@@ -36,67 +37,106 @@ fn reference(a: &Matrix, b: &Matrix) -> Matrix {
 /// element's evaluation order, so which worker ran what must not
 /// change one bit — `tests/runtime_parallel.rs` establishes that for
 /// one plan; this extends it across the serving layer.)
+///
+/// Engines with every builder default run the stream: 4 clients on 4
+/// workers, then 1 and 2 clients on 2 workers, where the default is
+/// the HYBRID scheme. Odd shapes up to 311 make the plans peel, and
+/// enough rounds run that a scope task signalling into a returned
+/// frame shows up as a diverged, panicked or stuck multiply.
 #[test]
 fn concurrent_mixed_shape_submits_match_sequential_plan_execute_bitwise() {
-    let shapes = [(96, 96, 96), (64, 128, 32), (100, 80, 60), (33, 45, 27)];
-    let engine = FmmEngine::builder().threads(4).build().unwrap();
-
+    let shapes = [
+        (96, 96, 96),
+        (64, 128, 32),
+        (100, 80, 60),
+        (33, 45, 27),
+        (257, 129, 200),
+        (129, 257, 65),
+        (311, 97, 153),
+    ];
+    const STALL: Duration = Duration::from_secs(120);
     let single = rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()
         .unwrap();
-    let mut problems: Vec<(Matrix, Matrix)> = Vec::new();
-    let mut references: Vec<Matrix> = Vec::new();
-    for (i, &(m, k, n)) in shapes.iter().enumerate() {
-        let (a, b) = random_problem(m, k, n, 100 + i as u64);
-        // The *same* compiled plan the engine will serve from its
-        // cache, executed sequentially.
-        let plan = engine.plan_for(m, k, n).unwrap();
-        let mut c = Matrix::zeros(m, n);
-        let mut ws = Workspace::for_plan(&plan);
-        single.install(|| plan.execute(&a, &b, &mut c, &mut ws));
-        problems.push((a, b));
-        references.push(c);
-    }
-    let problems = Arc::new(problems);
-    let references = Arc::new(references);
-
-    const CLIENTS: usize = 4;
-    const ROUNDS: usize = 8;
-    std::thread::scope(|scope| {
-        for client in 0..CLIENTS {
-            let engine = engine.clone();
-            let problems = Arc::clone(&problems);
-            let references = Arc::clone(&references);
-            scope.spawn(move || {
-                for round in 0..ROUNDS {
-                    let idx = (client + round) % problems.len();
-                    let (a, b) = &problems[idx];
-                    let got = if round % 2 == 0 {
-                        engine.multiply(a, b).unwrap()
-                    } else {
-                        engine.submit(a.clone(), b.clone()).wait().unwrap()
-                    };
-                    assert_eq!(
-                        got,
-                        references[idx],
-                        "client {client} round {round} shape {:?} diverged from \
-                         sequential Plan::execute",
-                        problems[idx].0.shape()
-                    );
-                }
-            });
+    // (pool width, client threads, rounds per client). A lone client
+    // leaves the scope owner nothing else to run, so it returns the
+    // instant its last task finishes: the tightest race with that
+    // task's wake-up, hence the most rounds.
+    for (width, clients, rounds) in [(4, 4, 24), (2, 1, 300), (2, 2, 48)] {
+        let engine = FmmEngine::builder().threads(width).build().unwrap();
+        let mut problems: Vec<(Matrix, Matrix)> = Vec::new();
+        let mut references: Vec<Matrix> = Vec::new();
+        for (i, &(m, k, n)) in shapes.iter().enumerate() {
+            let (a, b) = random_problem(m, k, n, 100 + i as u64);
+            // The *same* compiled plan the engine will serve from its
+            // cache, executed sequentially.
+            let plan = engine.plan_for(m, k, n).unwrap();
+            let mut c = Matrix::zeros(m, n);
+            let mut ws = Workspace::for_plan(&plan);
+            single.install(|| plan.execute(&a, &b, &mut c, &mut ws));
+            problems.push((a, b));
+            references.push(c);
         }
-    });
+        let problems = Arc::new(problems);
+        let references = Arc::new(references);
 
-    let stats = engine.stats();
-    assert_eq!(stats.multiplies, (CLIENTS * ROUNDS) as u64);
-    assert_eq!(
-        stats.plan_cache_misses,
-        shapes.len() as u64,
-        "each shape plans exactly once (plan_for warmed the cache)"
-    );
-    assert_eq!(stats.plan_cache_hits, (CLIENTS * ROUNDS) as u64);
+        // Detached clients and a watchdog: a worker stuck forever must
+        // fail the test, not hang it.
+        let (done_tx, done_rx) = mpsc::channel();
+        let handles: Vec<_> = (0..clients)
+            .map(|client| {
+                let engine = engine.clone();
+                let problems = Arc::clone(&problems);
+                let references = Arc::clone(&references);
+                let done_tx = done_tx.clone();
+                std::thread::spawn(move || {
+                    for round in 0..rounds {
+                        let idx = (client + round) % problems.len();
+                        let (a, b) = &problems[idx];
+                        let got = if round % 2 == 0 {
+                            engine.multiply(a, b).unwrap()
+                        } else {
+                            engine.submit(a.clone(), b.clone()).wait().unwrap()
+                        };
+                        assert_eq!(
+                            got,
+                            references[idx],
+                            "width {width} client {client} round {round} shape {:?} \
+                             diverged from sequential Plan::execute",
+                            problems[idx].0.shape()
+                        );
+                    }
+                    let _ = done_tx.send(());
+                })
+            })
+            .collect();
+        drop(done_tx);
+        for _ in 0..clients {
+            match done_rx.recv_timeout(STALL) {
+                Ok(()) => {}
+                // A client panicked; joining it below reports why.
+                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+                Err(mpsc::RecvTimeoutError::Timeout) => {
+                    panic!(
+                        "width {width}: no client finished within {STALL:?}; the engine is stuck"
+                    )
+                }
+            }
+        }
+        for handle in handles {
+            handle.join().expect("client thread");
+        }
+
+        let stats = engine.stats();
+        assert_eq!(stats.multiplies, (clients * rounds) as u64);
+        assert_eq!(
+            stats.plan_cache_misses,
+            shapes.len() as u64,
+            "each shape plans exactly once (plan_for warmed the cache)"
+        );
+        assert_eq!(stats.plan_cache_hits, (clients * rounds) as u64);
+    }
 }
 
 /// Acceptance: steady-state serving is zero-alloc. After warm-up,

@@ -4,7 +4,7 @@
 //! (§3.4), and the batched front door.
 
 use fast_matmul::algo;
-use fast_matmul::core::{AdditionMethod, GemmProfile, Plan, Planner, Scheme, Workspace};
+use fast_matmul::core::{AdditionMethod, GemmProfile, Options, Plan, Planner, Scheme, Workspace};
 use fast_matmul::matrix::{max_abs_diff, Matrix};
 use fast_matmul::tensor::compose::classical;
 use proptest::prelude::*;
@@ -57,8 +57,11 @@ fn reused_workspace_matches_reference_across_shapes_and_schemes() {
                     .shape(p, q, r)
                     .algorithm(&strassen)
                     .steps(2)
-                    .scheme(scheme)
-                    .additions(additions)
+                    .options(Options {
+                        scheme,
+                        additions,
+                        ..Options::default()
+                    })
                     .plan()
                     .unwrap();
                 check_three_executes(&plan, 7, 1e-9 * q as f64);
@@ -78,7 +81,10 @@ fn repeated_executes_report_identical_workspace_and_reuse() {
             .shape(96, 96, 96)
             .algorithm(&strassen)
             .steps(2)
-            .scheme(scheme)
+            .options(Options {
+                scheme,
+                ..Options::default()
+            })
             .plan()
             .unwrap();
         let mut ws = Workspace::for_plan(&plan);
@@ -241,8 +247,11 @@ proptest! {
             .shape(p, q, r)
             .algorithm(&algo::strassen())
             .steps(steps)
-            .scheme(scheme)
-            .additions(additions)
+            .options(Options {
+                scheme,
+                additions,
+                ..Options::default()
+            })
             .plan()
             .unwrap();
         let mut ws = Workspace::new();

@@ -3,7 +3,7 @@
 //! product; transformation laws must preserve exactness.
 
 use fast_matmul::algo;
-use fast_matmul::core::{AdditionMethod, FastMul, Options, Scheme};
+use fast_matmul::core::{AdditionMethod, Options, Planner, Scheme, Workspace};
 use fast_matmul::matrix::{max_abs_diff, Matrix};
 use fast_matmul::tensor::compose::{classical, direct_sum_n, kron_compose};
 use fast_matmul::tensor::transform::{permute_to, scale_columns};
@@ -14,6 +14,20 @@ use rand::SeedableRng;
 fn reference(a: &Matrix, b: &Matrix) -> Matrix {
     let mut c = Matrix::zeros(a.rows(), b.cols());
     fast_matmul::gemm::naive_gemm(1.0, a.as_ref(), b.as_ref(), 0.0, c.as_mut());
+    c
+}
+
+/// `A · B` through a plan of `steps` Strassen levels with `opts`.
+fn strassen_multiply(steps: usize, opts: Options, a: &Matrix, b: &Matrix) -> Matrix {
+    let plan = Planner::new()
+        .shape(a.rows(), a.cols(), b.cols())
+        .algorithm(&algo::strassen())
+        .steps(steps)
+        .options(opts)
+        .plan()
+        .unwrap();
+    let mut c = Matrix::zeros(a.rows(), b.cols());
+    plan.execute(a, b, &mut c, &mut Workspace::for_plan(&plan));
     c
 }
 
@@ -34,13 +48,11 @@ proptest! {
             1 => AdditionMethod::WriteOnce,
             _ => AdditionMethod::Streaming,
         };
-        let strassen = algo::strassen();
         let mut rng = StdRng::seed_from_u64(seed);
         let a = Matrix::random(p, q, &mut rng);
         let b = Matrix::random(q, r, &mut rng);
         let want = reference(&a, &b);
-        let got = FastMul::new(&strassen, Options { steps, additions, ..Options::default() })
-            .multiply(&a, &b);
+        let got = strassen_multiply(steps, Options { additions, ..Options::default() }, &a, &b);
         let d = max_abs_diff(&want.as_ref(), &got.as_ref()).unwrap();
         prop_assert!(d < 1e-10 * (q as f64 + 1.0), "diff {d}");
     }
@@ -55,13 +67,11 @@ proptest! {
             1 => Scheme::Bfs,
             _ => Scheme::Hybrid,
         };
-        let strassen = algo::strassen();
         let mut rng = StdRng::seed_from_u64(seed);
         let a = Matrix::random(70, 66, &mut rng);
         let b = Matrix::random(66, 74, &mut rng);
         let want = reference(&a, &b);
-        let got = FastMul::new(&strassen, Options { steps: 2, scheme, ..Options::default() })
-            .multiply(&a, &b);
+        let got = strassen_multiply(2, Options { scheme, ..Options::default() }, &a, &b);
         let d = max_abs_diff(&want.as_ref(), &got.as_ref()).unwrap();
         prop_assert!(d < 1e-10 * 67.0);
     }
@@ -132,13 +142,11 @@ proptest! {
     ) {
         // sizes straddling multiples of 2^steps
         let n = base_n * 16 + delta;
-        let strassen = algo::strassen();
         let mut rng = StdRng::seed_from_u64(n as u64);
         let a = Matrix::random(n, n, &mut rng);
         let b = Matrix::random(n, n, &mut rng);
         let want = reference(&a, &b);
-        let got = FastMul::new(&strassen, Options { steps: 3, ..Options::default() })
-            .multiply(&a, &b);
+        let got = strassen_multiply(3, Options::default(), &a, &b);
         let d = max_abs_diff(&want.as_ref(), &got.as_ref()).unwrap();
         prop_assert!(d < 1e-10 * (n as f64 + 1.0));
     }

@@ -3,10 +3,17 @@
 //! padding-vs-peeling equivalence (§3.5).
 
 use fast_matmul::algo;
-use fast_matmul::core::{BorderHandling, FastMul, Options};
+use fast_matmul::core::{BorderHandling, ExecStatsSnapshot, Options, Planner, Workspace};
 use fast_matmul::matrix::{max_abs_diff, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// `C = A · B` through a plan for `planner` at the operands' shape,
+/// returning the run's statistics.
+fn run(planner: Planner, a: &Matrix, b: &Matrix, c: &mut Matrix) -> ExecStatsSnapshot {
+    let plan = planner.shape(a.rows(), a.cols(), b.cols()).plan().unwrap();
+    plan.execute_with_stats(a, b, c, &mut Workspace::for_plan(&plan))
+}
 
 #[test]
 fn leaf_count_is_rank_to_the_steps_on_divisible_problems() {
@@ -17,14 +24,12 @@ fn leaf_count_is_rank_to_the_steps_on_divisible_problems() {
         let a = Matrix::random(n, n, &mut rng);
         let b = Matrix::random(n, n, &mut rng);
         let mut c = Matrix::zeros(n, n);
-        let fm = FastMul::new(
-            &strassen,
-            Options {
-                steps,
-                ..Options::default()
-            },
+        let stats = run(
+            Planner::new().algorithm(&strassen).steps(steps),
+            &a,
+            &b,
+            &mut c,
         );
-        let stats = fm.multiply_into_with_stats(a.as_ref(), b.as_ref(), c.as_mut());
         assert_eq!(stats.base_gemms, 7u64.pow(steps as u32));
         assert_eq!(stats.peel_gemms, 0, "divisible sizes never peel");
     }
@@ -33,18 +38,11 @@ fn leaf_count_is_rank_to_the_steps_on_divisible_problems() {
 #[test]
 fn peel_gemms_appear_on_ragged_sizes() {
     let strassen = algo::strassen();
-    let fm = FastMul::new(
-        &strassen,
-        Options {
-            steps: 1,
-            ..Options::default()
-        },
-    );
     let mut rng = StdRng::seed_from_u64(2);
     let a = Matrix::random(65, 65, &mut rng);
     let b = Matrix::random(65, 65, &mut rng);
     let mut c = Matrix::zeros(65, 65);
-    let stats = fm.multiply_into_with_stats(a.as_ref(), b.as_ref(), c.as_mut());
+    let stats = run(Planner::new().algorithm(&strassen).steps(1), &a, &b, &mut c);
     assert_eq!(stats.base_gemms, 7);
     // all three dims ragged ⇒ all four quadrant fix-ups, 7 thin gemms
     assert_eq!(stats.peel_gemms, 7);
@@ -63,14 +61,7 @@ fn memory_footprint_matches_section_4_2_factor() {
     let a = Matrix::random(p, q, &mut rng);
     let b = Matrix::random(q, s, &mut rng);
     let mut c = Matrix::zeros(p, s);
-    let fm = FastMul::new(
-        &a424,
-        Options {
-            steps: 1,
-            ..Options::default()
-        },
-    );
-    let stats = fm.multiply_into_with_stats(a.as_ref(), b.as_ref(), c.as_mut());
+    let stats = run(Planner::new().algorithm(&a424).steps(1), &a, &b, &mut c);
     let m_r_elems = rank * (p as u64 / m as u64) * (s as u64 / n as u64);
     assert!(
         stats.temp_elements >= m_r_elems,
@@ -90,24 +81,22 @@ fn padding_and_peeling_agree_everywhere() {
     for (p, q, r) in [(63, 65, 67), (100, 50, 75), (31, 97, 41)] {
         let a = Matrix::random(p, q, &mut rng);
         let b = Matrix::random(q, r, &mut rng);
-        let peel = FastMul::new(
-            &strassen,
-            Options {
-                steps: 2,
-                border: BorderHandling::DynamicPeeling,
+        let multiply = |border| {
+            let mut c = Matrix::zeros(p, r);
+            let opts = Options {
+                border,
                 ..Options::default()
-            },
-        )
-        .multiply(&a, &b);
-        let pad = FastMul::new(
-            &strassen,
-            Options {
-                steps: 2,
-                border: BorderHandling::Padding,
-                ..Options::default()
-            },
-        )
-        .multiply(&a, &b);
+            };
+            run(
+                Planner::new().algorithm(&strassen).steps(2).options(opts),
+                &a,
+                &b,
+                &mut c,
+            );
+            c
+        };
+        let peel = multiply(BorderHandling::DynamicPeeling);
+        let pad = multiply(BorderHandling::Padding);
         let d = max_abs_diff(&peel.as_ref(), &pad.as_ref()).unwrap();
         assert!(d < 1e-10 * q as f64, "{p}x{q}x{r}: diff {d}");
     }
@@ -116,19 +105,20 @@ fn padding_and_peeling_agree_everywhere() {
 #[test]
 fn padding_eliminates_peel_gemms() {
     let strassen = algo::strassen();
-    let fm = FastMul::new(
-        &strassen,
-        Options {
-            steps: 2,
-            border: BorderHandling::Padding,
-            ..Options::default()
-        },
-    );
+    let opts = Options {
+        border: BorderHandling::Padding,
+        ..Options::default()
+    };
     let mut rng = StdRng::seed_from_u64(5);
     let a = Matrix::random(65, 63, &mut rng);
     let b = Matrix::random(63, 61, &mut rng);
     let mut c = Matrix::zeros(65, 61);
-    let stats = fm.multiply_into_with_stats(a.as_ref(), b.as_ref(), c.as_mut());
+    let stats = run(
+        Planner::new().algorithm(&strassen).steps(2).options(opts),
+        &a,
+        &b,
+        &mut c,
+    );
     assert_eq!(stats.peel_gemms, 0, "padded problems never peel");
     assert_eq!(stats.base_gemms, 49);
 }
@@ -138,18 +128,11 @@ fn composed_schedule_leaf_count_is_product_of_ranks() {
     let sched = algo::schedule_54();
     let refs: Vec<&fast_matmul::tensor::Decomposition> = sched.iter().collect();
     let expect: u64 = sched.iter().map(|d| d.rank() as u64).product();
-    let fm = FastMul::with_schedule(
-        &refs,
-        Options {
-            steps: 0, // schedule length is authoritative
-            ..Options::default()
-        },
-    );
     let n = 54;
     let mut rng = StdRng::seed_from_u64(6);
     let a = Matrix::random(n, n, &mut rng);
     let b = Matrix::random(n, n, &mut rng);
     let mut c = Matrix::zeros(n, n);
-    let stats = fm.multiply_into_with_stats(a.as_ref(), b.as_ref(), c.as_mut());
+    let stats = run(Planner::new().schedule(&refs), &a, &b, &mut c);
     assert_eq!(stats.base_gemms, expect);
 }
