@@ -5,14 +5,14 @@
 //! same way the executor recurses — peel split per level, one classical
 //! gemm per exhausted leaf, §3.5 fix-up strips per peeled node — but in
 //! a *second, independent implementation* of the arithmetic: the
-//! executor derives its workspace carving from `NodeLayout`, the
-//! certificate re-derives every region size from the level metadata
-//! alone. `Planner::plan` cross-checks the two with a `debug_assert`,
+//! executor carves its workspace from per-depth `NodeLayout`s built at
+//! plan time, the certificate re-derives every region size from the
+//! level metadata alone. `Planner::plan` cross-checks the two with a `debug_assert`,
 //! so a divergence between sizing and execution is caught at plan time
 //! rather than as a slice-carving panic (or silent corruption) mid
 //! multiply.
 
-use crate::executor::{BorderHandling, LevelPlan, Options, Scheme};
+use crate::executor::{LevelPlan, Scheme};
 use fmm_matrix::partition::PeelSplit;
 use fmm_matrix::Scalar;
 
@@ -36,8 +36,8 @@ pub struct PlanCertificate {
     pub base_gemms: u64,
     /// Exact number of §3.5 dynamic-peeling fix-up gemms.
     pub peel_gemms: u64,
-    /// Workspace temporaries the executor will account (M_r product
-    /// buffers, plus padding copies under [`BorderHandling::Padding`]).
+    /// Workspace temporaries the executor will account: the elements
+    /// of every M_r product buffer.
     pub temp_elements: u64,
     /// Exact workspace footprint in scalar elements — must equal
     /// [`crate::Plan::workspace_len`].
@@ -149,51 +149,24 @@ fn walk<T: Scalar>(
     acc
 }
 
-/// Padded dimensions under [`BorderHandling::Padding`]: each axis
-/// rounded up to the full per-level product so no level ever peels.
-fn padded_dims<T>(levels: &[LevelPlan<T>], p: usize, q: usize, r: usize) -> (usize, usize, usize) {
-    let mprod: usize = levels.iter().map(|l| l.m).product();
-    let kprod: usize = levels.iter().map(|l| l.k).product();
-    let nprod: usize = levels.iter().map(|l| l.n).product();
-    (
-        p.div_ceil(mprod) * mprod,
-        q.div_ceil(kprod) * kprod,
-        r.div_ceil(nprod) * nprod,
-    )
-}
-
 /// Compute the certificate for a level schedule on `shape` under
-/// `opts`. This is the backing implementation of
+/// `scheme`. This is the backing implementation of
 /// [`crate::Plan::certificate`].
 pub(crate) fn derive_certificate<T: Scalar>(
     levels: &[LevelPlan<T>],
-    opts: &Options,
+    scheme: Scheme,
     shape: (usize, usize, usize),
 ) -> PlanCertificate {
     let (p, q, r) = shape;
-    let mut pad_temps = 0u64;
-    let mut pad_ws = 0usize;
-    let (ep, eq, er) = if opts.border == BorderHandling::Padding && !levels.is_empty() {
-        let (pp, qq, rr) = padded_dims(levels, p, q, r);
-        if (pp, qq, rr) != (p, q, r) {
-            pad_temps = (pp * qq + qq * rr + pp * rr) as u64;
-            pad_ws = pp * qq + qq * rr + pp * rr;
-            (pp, qq, rr)
-        } else {
-            (p, q, r)
-        }
-    } else {
-        (p, q, r)
-    };
-    let counts = walk(levels, opts.scheme, 0, ep, eq, er);
+    let counts = walk(levels, scheme, 0, p, q, r);
     PlanCertificate {
         shape,
         depth: levels.len(),
         composed_rank: levels.iter().map(|l| l.rank as u64).product(),
         base_gemms: counts.base_gemms,
         peel_gemms: counts.peel_gemms,
-        temp_elements: counts.temp_elements + pad_temps,
-        workspace_len: counts.workspace + pad_ws,
+        temp_elements: counts.temp_elements,
+        workspace_len: counts.workspace,
         gemm_flops: counts.gemm_flops,
     }
 }

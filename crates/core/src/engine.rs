@@ -107,8 +107,6 @@ impl From<PlanError> for EngineError {
 pub struct EngineBuilder<T = f64> {
     threads: Option<usize>,
     cache_capacity: usize,
-    max_pooled_workspaces: Option<usize>,
-    max_pooled_workspace_len: Option<usize>,
     /// Strategy from [`EngineBuilder::options`]; when unset, `build`
     /// picks the width-dependent default scheme.
     options: Option<Options>,
@@ -131,8 +129,6 @@ impl<T: GemmScalar> EngineBuilder<T> {
         EngineBuilder {
             threads: None,
             cache_capacity: 64,
-            max_pooled_workspaces: None,
-            max_pooled_workspace_len: None,
             options: None,
             template: Planner::new(),
             _dtype: std::marker::PhantomData,
@@ -154,30 +150,8 @@ impl<T: GemmScalar> EngineBuilder<T> {
         self
     }
 
-    /// Cap on idle pooled workspaces (default `2 × width + 2`). Excess
-    /// arenas returned at check-in are dropped instead of pooled.
-    #[must_use]
-    pub fn max_pooled_workspaces(mut self, max: usize) -> Self {
-        self.max_pooled_workspaces = Some(max);
-        self
-    }
-
-    /// Cap, in f64 elements, on the size of an arena the pool will
-    /// retain (default unbounded). Arenas grow monotonically to the
-    /// largest plan they ever served, so a long-lived engine that sees
-    /// one burst of huge multiplies would otherwise pin
-    /// `max_pooled_workspaces` maximum-sized arenas forever; with a
-    /// cap, oversized arenas are dropped at check-in and recreated
-    /// right-sized when needed again.
-    #[must_use]
-    pub fn max_pooled_workspace_len(mut self, len: usize) -> Self {
-        self.max_pooled_workspace_len = Some(len);
-        self
-    }
-
-    /// Executor strategy (additions, CSE, scheme, border). Default:
-    /// write-once additions, dynamic peeling, Sequential scheme at
-    /// width 1 and HYBRID otherwise.
+    /// Executor strategy (additions, CSE, scheme). Default: write-once
+    /// additions, Sequential scheme at width 1 and HYBRID otherwise.
     #[must_use]
     pub fn options(mut self, options: Options) -> Self {
         self.options = Some(options);
@@ -189,13 +163,6 @@ impl<T: GemmScalar> EngineBuilder<T> {
     #[must_use]
     pub fn steps(mut self, steps: usize) -> Self {
         self.template = self.template.steps(steps);
-        self
-    }
-
-    /// Cap on the profile-recommended depth (default 4).
-    #[must_use]
-    pub fn max_steps(mut self, max_steps: usize) -> Self {
-        self.template = self.template.max_steps(max_steps);
         self
     }
 
@@ -249,8 +216,6 @@ impl<T: GemmScalar> EngineBuilder<T> {
                 template: self.template.options(options),
                 cache: Mutex::new(PlanCache::new(self.cache_capacity)),
                 workspaces: Mutex::new(Vec::new()),
-                max_pooled_workspaces: self.max_pooled_workspaces.unwrap_or(2 * width + 2),
-                max_pooled_workspace_len: self.max_pooled_workspace_len.unwrap_or(usize::MAX),
                 counters: Counters::default(),
                 hists: fmm_trace::HistogramSet::new(),
             }),
@@ -393,9 +358,9 @@ struct EngineInner<T> {
     /// Every cached plan is this planner plus a shape.
     template: Planner,
     cache: Mutex<PlanCache<T>>,
+    /// Idle arenas, at most `2 × width + 2`; excess arenas returned at
+    /// check-in are dropped instead of pooled.
     workspaces: Mutex<Vec<Workspace<T>>>,
-    max_pooled_workspaces: usize,
-    max_pooled_workspace_len: usize,
     counters: Counters,
     hists: fmm_trace::HistogramSet,
 }
@@ -448,15 +413,8 @@ impl<T: GemmScalar> EngineInner<T> {
     }
 
     fn checkin_workspace(&self, ws: Workspace<T>) {
-        // Arenas grow monotonically, so without the length bound one
-        // burst of huge multiplies would pin max-sized arenas for the
-        // engine's whole lifetime; oversized arenas are dropped here
-        // and recreated right-sized on a later checkout.
-        if ws.len() > self.max_pooled_workspace_len {
-            return;
-        }
         let mut pool = self.workspaces.lock().unwrap();
-        if pool.len() < self.max_pooled_workspaces {
+        if pool.len() < 2 * self.width + 2 {
             pool.push(ws);
         }
     }
@@ -761,25 +719,6 @@ mod tests {
         assert_eq!(s.workspaces_created, 1, "one arena serves a serial client");
         assert_eq!(s.workspaces_reused, 5, "every post-warm-up run reuses it");
         assert_eq!(s.workspaces_pooled, 1);
-    }
-
-    #[test]
-    fn oversized_arenas_are_dropped_at_checkin() {
-        let engine = FmmEngine::builder()
-            .threads(1)
-            .max_pooled_workspace_len(10)
-            .build()
-            .unwrap();
-        let (a, b) = random_problem(48, 48, 48, 3);
-        engine.multiply(&a, &b).unwrap();
-        let s = engine.stats();
-        assert_eq!(
-            s.workspaces_pooled, 0,
-            "an arena beyond the retention cap must not be pooled"
-        );
-        // The next serve has to create a fresh arena.
-        engine.multiply(&a, &b).unwrap();
-        assert_eq!(engine.stats().workspaces_created, 2);
     }
 
     #[test]

@@ -22,12 +22,14 @@
 //!
 //! # Memory model
 //!
-//! The executor never allocates temporaries itself: every S/T/M buffer,
-//! every CSE temporary, and the padding copies are carved out of a flat
-//! `&mut [T]` workspace whose exact size is computed by walking the
-//! recursion tree once ([`required_workspace`]). The [`crate::Plan`] API
-//! computes that size at plan time and reuses a [`crate::Workspace`]
-//! across executes (zero allocation on the hot path). Under the
+//! The executor never allocates temporaries itself: every S/T/M buffer
+//! and every CSE temporary is carved out of a flat `&mut [T]` workspace.
+//! Every node at one recursion depth has the same dimensions (the root
+//! core, then that divided by the base case at each level; peel strips
+//! never recurse), so [`crate::Planner`] builds one [`NodeLayout`] per
+//! non-leaf depth at plan time and the executor only reads them. The
+//! root layout's total is [`crate::Plan::workspace_len`]; a reused
+//! [`crate::Workspace`] makes the hot path allocation-free. Under the
 //! BFS/HYBRID schemes each spawned task receives a disjoint slice of the
 //! workspace, which makes the §4.2 memory growth factor explicit in
 //! [`crate::Plan::workspace_len`].
@@ -53,23 +55,6 @@ pub enum AdditionMethod {
     Streaming,
 }
 
-/// How non-divisible dimensions are handled (§3.5).
-///
-/// The paper chooses dynamic peeling to limit memory and keep code
-/// generation simple; padding is the classical alternative it compares
-/// against in the discussion, implemented here for the ablation bench.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum BorderHandling {
-    /// Fix up remainder strips with thin classical products at every
-    /// recursion level (the paper's choice).
-    #[default]
-    DynamicPeeling,
-    /// Zero-pad the operands up front so every level divides exactly,
-    /// then copy the result back. Simpler, but costs extra memory and
-    /// bandwidth proportional to the padding.
-    Padding,
-}
-
 /// Shared-memory parallelization scheme (§4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Scheme {
@@ -91,18 +76,47 @@ pub enum Scheme {
     Hybrid,
 }
 
+/// What a [`Scheme`] fixes for one execute.
+struct SchemeKnobs {
+    /// A leaf gemm runs with all threads iff its global leaf index is
+    /// at least this.
+    threshold: u64,
+    /// Additions and strip gemms at `depth` use all threads iff
+    /// `depth < par_depth`.
+    par_depth: usize,
+    /// Children run as concurrent tasks with disjoint workspaces.
+    concurrent: bool,
+}
+
 impl Scheme {
+    /// The scheme as three values, for a recursion with `leaves` leaves
+    /// on a pool of `threads` workers.
+    fn knobs(self, leaves: u64, threads: u64) -> SchemeKnobs {
+        let (threshold, par_depth, concurrent) = match self {
+            Scheme::Sequential => (u64::MAX, 0, false),
+            Scheme::Dfs => (0, usize::MAX, false),
+            // Only the top level runs outside tasks.
+            Scheme::Bfs => (u64::MAX, 1, true),
+            Scheme::Hybrid => (leaves - leaves % threads.max(1), 1, true),
+        };
+        SchemeKnobs {
+            threshold,
+            par_depth,
+            concurrent,
+        }
+    }
+
     /// True when recursive children run as independent tasks whose
     /// workspaces must be disjoint (BFS/HYBRID); Sequential/DFS run
     /// children one at a time and share a single child region.
     pub(crate) fn concurrent_children(self) -> bool {
-        matches!(self, Scheme::Bfs | Scheme::Hybrid)
+        self.knobs(0, 1).concurrent
     }
 }
 
-/// Executor strategy: how each level's additions are evaluated, the
-/// parallel scheme and the remainder handling. Recursion depth is not
-/// part of it; [`crate::Planner`] decides that per shape.
+/// Executor strategy: how each level's additions are evaluated and the
+/// parallel scheme. Recursion depth is not part of it;
+/// [`crate::Planner`] decides that per shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Options {
     /// Addition-chain evaluation strategy.
@@ -111,8 +125,6 @@ pub struct Options {
     pub cse: bool,
     /// Parallel scheme.
     pub scheme: Scheme,
-    /// Remainder handling for non-divisible dimensions.
-    pub border: BorderHandling,
 }
 
 /// Execution statistics collected by
@@ -124,8 +136,8 @@ pub(crate) struct ExecStats {
     pub base_gemms: std::sync::atomic::AtomicU64,
     /// Classical fix-up products issued by dynamic peeling.
     pub peel_gemms: std::sync::atomic::AtomicU64,
-    /// Total scalar elements checked out of the workspace for S/T/M
-    /// temporaries and padding copies.
+    /// Total scalar elements of the M_r product buffers checked out of
+    /// the workspace.
     pub temp_elements: std::sync::atomic::AtomicU64,
     /// Bitmask of pool workers that executed at least one gemm during
     /// this run (bit 63 stands for any non-worker thread). Feeds
@@ -144,7 +156,8 @@ pub struct ExecStatsSnapshot {
     pub base_gemms: u64,
     /// Peel fix-up gemm calls.
     pub peel_gemms: u64,
-    /// Total temporary scalar elements checked out of the workspace.
+    /// Total scalar elements of the M_r product buffers checked out of
+    /// the workspace.
     pub temp_elements: u64,
     /// Size in bytes of the workspace this execution ran in.
     pub workspace_bytes: u64,
@@ -204,6 +217,11 @@ pub(crate) struct TypedSide<T> {
     pub(crate) temps: Vec<Vec<(Var, T)>>,
     pub(crate) chains: Vec<Vec<(Var, T)>>,
     pub(crate) passthrough: Vec<Option<(usize, T)>>,
+    /// Streaming reverse index: every variable a non-passthrough chain
+    /// reads, in ascending [`Var`] order (blocks, then temps), with the
+    /// `(chain, coef)` pairs that read it in ascending chain order. The
+    /// fixed order keeps streamed sums reproducible.
+    by_var: Vec<(Var, Vec<(usize, T)>)>,
 }
 
 fn typed_chain<T: Scalar>(chain: &[(Var, f64)]) -> Result<Vec<(Var, T)>, f64> {
@@ -215,17 +233,26 @@ fn typed_chain<T: Scalar>(chain: &[(Var, f64)]) -> Result<Vec<(Var, T)>, f64> {
 
 impl<T: Scalar> TypedSide<T> {
     fn try_from(plan: &SidePlan) -> Result<Self, f64> {
+        let chains: Vec<Vec<(Var, T)>> = plan
+            .chains
+            .iter()
+            .map(|c| typed_chain(c))
+            .collect::<Result<_, _>>()?;
+        let mut by_var: std::collections::BTreeMap<Var, Vec<(usize, T)>> = Default::default();
+        for (r, chain) in chains.iter().enumerate() {
+            if plan.passthrough[r].is_none() {
+                for &(v, coef) in chain {
+                    by_var.entry(v).or_default().push((r, coef));
+                }
+            }
+        }
         Ok(TypedSide {
             temps: plan
                 .temps
                 .iter()
                 .map(|t| typed_chain(t))
                 .collect::<Result<_, _>>()?,
-            chains: plan
-                .chains
-                .iter()
-                .map(|c| typed_chain(c))
-                .collect::<Result<_, _>>()?,
+            chains,
             passthrough: plan
                 .passthrough
                 .iter()
@@ -234,6 +261,7 @@ impl<T: Scalar> TypedSide<T> {
                     None => Ok(None),
                 })
                 .collect::<Result<_, _>>()?,
+            by_var: by_var.into_iter().collect(),
         })
     }
 }
@@ -245,7 +273,11 @@ pub(crate) struct LevelPlan<T> {
     pub(crate) n: usize,
     uplan: TypedSide<T>,
     vplan: TypedSide<T>,
+    /// One chain per output block `C_ij`: `[(r, coef)]`.
     wplan: Vec<Vec<(usize, T)>>,
+    /// The W side transposed for streaming: `by_m[r] = [(ij, coef)]`,
+    /// output blocks ascending.
+    by_m: Vec<Vec<(usize, T)>>,
     pub(crate) rank: usize,
 }
 
@@ -256,7 +288,7 @@ impl<T: Scalar> LevelPlan<T> {
     /// designed failure mode for non-field semirings.
     pub(crate) fn try_new(dec: &Decomposition, cse: bool) -> Result<Self, f64> {
         const TOL: f64 = 1e-14;
-        let wplan = output_plan(&dec.w, TOL)
+        let wplan: Vec<Vec<(usize, T)>> = output_plan(&dec.w, TOL)
             .iter()
             .map(|row| {
                 row.iter()
@@ -264,6 +296,12 @@ impl<T: Scalar> LevelPlan<T> {
                     .collect::<Result<Vec<_>, f64>>()
             })
             .collect::<Result<_, _>>()?;
+        let mut by_m = vec![Vec::new(); dec.rank()];
+        for (ij, row) in wplan.iter().enumerate() {
+            for &(r, coef) in row {
+                by_m[r].push((ij, coef));
+            }
+        }
         Ok(LevelPlan {
             m: dec.m,
             k: dec.k,
@@ -271,6 +309,7 @@ impl<T: Scalar> LevelPlan<T> {
             uplan: TypedSide::try_from(&side_plan(&dec.u, cse, TOL))?,
             vplan: TypedSide::try_from(&side_plan(&dec.v, cse, TOL))?,
             wplan,
+            by_m,
             rank: dec.rank(),
         })
     }
@@ -295,11 +334,9 @@ impl<T: Scalar> LevelPlan<T> {
     }
 }
 
-/// Workspace layout of one recursion node, derived from the node's
-/// problem dimensions. The same arithmetic drives both plan-time sizing
-/// ([`required_workspace`]) and runtime carving, so the two can never
-/// disagree.
-struct NodeLayout {
+/// Workspace layout shared by every node at one recursion depth, built
+/// once at plan time by [`NodeLayout::for_plan`].
+pub(crate) struct NodeLayout {
     peel: PeelSplit,
     /// Elements of one S_r temporary (`(p1/m) · (q1/k)`).
     s_size: usize,
@@ -321,201 +358,117 @@ struct NodeLayout {
     /// concurrent tasks (BFS/HYBRID), `child_len` when they run one at
     /// a time (Sequential/DFS).
     children_len: usize,
+    /// Leaves under one child (HYBRID numbers leaves globally).
+    leaves_per_child: u64,
 }
 
 impl NodeLayout {
-    /// Layout for a node at `depth` on a `p × q × r` problem, or `None`
-    /// when the node degenerates to a single base-case gemm (recursion
-    /// exhausted or core empty) and needs no workspace.
-    fn at<T: Scalar>(
+    /// One layout per non-leaf depth of a `shape` execution of
+    /// `levels`: the list stops at the recursion's end or at the first
+    /// depth whose core is smaller than the base case, below which
+    /// every node is a single base-case gemm.
+    pub(crate) fn for_plan<T: Scalar>(
         levels: &[LevelPlan<T>],
-        depth: usize,
         scheme: Scheme,
-        p: usize,
-        q: usize,
-        r: usize,
-    ) -> Option<Self> {
-        let lp = levels.get(depth)?;
-        let peel = PeelSplit::new(p, q, r, lp.m, lp.k, lp.n);
-        if peel.core_is_empty() {
-            return None;
+        shape: (usize, usize, usize),
+    ) -> Vec<NodeLayout> {
+        let (mut p, mut q, mut r) = shape;
+        let mut layouts = Vec::new();
+        for (depth, lp) in levels.iter().enumerate() {
+            let peel = PeelSplit::new(p, q, r, lp.m, lp.k, lp.n);
+            if peel.core_is_empty() {
+                break;
+            }
+            (p, q, r) = (peel.p1 / lp.m, peel.q1 / lp.k, peel.r1 / lp.n);
+            let (s_size, t_size, m_size) = (p * q, q * r, p * r);
+            let st_len = (0..lp.rank)
+                .map(|i| {
+                    let (u_pass, v_pass) = lp.passthrough(i);
+                    (if u_pass { 0 } else { s_size }) + (if v_pass { 0 } else { t_size })
+                })
+                .sum();
+            layouts.push(NodeLayout {
+                peel,
+                s_size,
+                t_size,
+                m_size,
+                ut_len: lp.u_temp_count() * s_size,
+                vt_len: lp.v_temp_count() * t_size,
+                ms_len: lp.rank * m_size,
+                st_len,
+                child_len: 0,
+                children_len: 0,
+                leaves_per_child: levels[depth + 1..].iter().map(|l| l.rank as u64).product(),
+            });
         }
-        let (cp, cq, cr) = (peel.p1 / lp.m, peel.q1 / lp.k, peel.r1 / lp.n);
-        let s_size = cp * cq;
-        let t_size = cq * cr;
-        let m_size = cp * cr;
-        let st_len = (0..lp.rank)
-            .map(|i| {
-                let s = if lp.uplan.passthrough[i].is_none() {
-                    s_size
-                } else {
-                    0
-                };
-                let t = if lp.vplan.passthrough[i].is_none() {
-                    t_size
-                } else {
-                    0
-                };
-                s + t
-            })
-            .sum();
-        let child_len = node_workspace(levels, depth + 1, scheme, cp, cq, cr);
-        let children_len = if scheme.concurrent_children() {
-            lp.rank * child_len
-        } else {
-            child_len
-        };
-        Some(NodeLayout {
-            peel,
-            s_size,
-            t_size,
-            m_size,
-            ut_len: lp.uplan.temps.len() * s_size,
-            vt_len: lp.vplan.temps.len() * t_size,
-            ms_len: lp.rank * m_size,
-            st_len,
-            child_len,
-            children_len,
-        })
+        // Child regions nest, so size them from the deepest level up.
+        let depth_count = layouts.len();
+        let mut child_len = 0;
+        for (layout, lp) in layouts.iter_mut().zip(&levels[..depth_count]).rev() {
+            layout.child_len = child_len;
+            layout.children_len = if scheme.concurrent_children() {
+                lp.rank * child_len
+            } else {
+                child_len
+            };
+            child_len = layout.total();
+        }
+        layouts
     }
 
-    fn total(&self) -> usize {
+    /// Workspace elements of one node at this depth and its subtree.
+    pub(crate) fn total(&self) -> usize {
         self.ut_len + self.vt_len + self.ms_len + self.st_len + self.children_len
     }
 }
 
-/// Workspace elements needed by the subtree rooted at `depth`.
-fn node_workspace<T: Scalar>(
-    levels: &[LevelPlan<T>],
-    depth: usize,
-    scheme: Scheme,
-    p: usize,
-    q: usize,
-    r: usize,
-) -> usize {
-    NodeLayout::at(levels, depth, scheme, p, q, r).map_or(0, |l| l.total())
-}
-
-/// Exact workspace size (in scalar elements) a `p × q × r` execution of
-/// this schedule requires, including padding copies when
-/// [`BorderHandling::Padding`] is selected. One walk of the recursion
-/// tree; this is what [`crate::Plan::workspace_len`] precomputes.
-pub(crate) fn required_workspace<T: Scalar>(
-    levels: &[LevelPlan<T>],
-    opts: &Options,
-    p: usize,
-    q: usize,
-    r: usize,
-) -> usize {
-    if opts.border == BorderHandling::Padding && !levels.is_empty() {
-        let (pp, qq, rr) = padded_dims(levels, p, q, r);
-        if (pp, qq, rr) != (p, q, r) {
-            return pp * qq
-                + qq * rr
-                + pp * rr
-                + node_workspace(levels, 0, opts.scheme, pp, qq, rr);
-        }
-    }
-    node_workspace(levels, 0, opts.scheme, p, q, r)
-}
-
-/// Dimensions after zero-padding each axis to the full per-level
-/// product so no recursion level ever peels.
-fn padded_dims<T>(levels: &[LevelPlan<T>], p: usize, q: usize, r: usize) -> (usize, usize, usize) {
-    let mprod: usize = levels.iter().map(|l| l.m).product();
-    let kprod: usize = levels.iter().map(|l| l.k).product();
-    let nprod: usize = levels.iter().map(|l| l.n).product();
-    (
-        p.div_ceil(mprod) * mprod,
-        q.div_ceil(kprod) * kprod,
-        r.div_ceil(nprod) * nprod,
-    )
-}
-
-/// Run the schedule inside `ws`, which must hold at least
-/// [`required_workspace`] elements: the body of
+/// Run `plan` inside `ws`, which must hold at least
+/// [`crate::Plan::workspace_len`] elements: the body of
 /// [`crate::Plan::execute`], which passes its reused
 /// [`crate::Workspace`].
 pub(crate) fn execute_on<T: GemmScalar>(
-    levels: &[LevelPlan<T>],
-    opts: &Options,
+    plan: &crate::Plan<T>,
     a: MatRef<'_, T>,
     b: MatRef<'_, T>,
-    mut c: MatMut<'_, T>,
+    c: MatMut<'_, T>,
     stats: Option<&ExecStats>,
     ws: &mut [T],
 ) {
     assert_eq!(a.cols(), b.rows(), "inner dimension mismatch");
     assert_eq!(c.rows(), a.rows(), "output rows mismatch");
     assert_eq!(c.cols(), b.cols(), "output cols mismatch");
-    let total_leaves: u64 = levels.iter().map(|l| l.rank as u64).product();
-    let threads = rayon::current_num_threads() as u64;
-    let threshold = match opts.scheme {
-        Scheme::Hybrid => total_leaves - (total_leaves % threads.max(1)),
-        _ => u64::MAX,
-    };
+    let leaves: u64 = plan.levels.iter().map(|l| l.rank as u64).product();
+    let knobs = plan
+        .opts
+        .scheme
+        .knobs(leaves, rayon::current_num_threads() as u64);
     let ctx = Ctx {
-        levels,
-        additions: opts.additions,
-        scheme: opts.scheme,
-        threshold,
+        levels: &plan.levels,
+        layouts: &plan.layouts,
+        additions: plan.opts.additions,
+        knobs,
         stats,
         // The tracing gate is read once per execute and carried as a
         // plain bool so recursion leaves never touch the atomic.
         trace: fmm_trace::enabled(),
     };
-    if opts.border == BorderHandling::Padding && !levels.is_empty() {
-        // Pad each dimension to the full per-level product so no
-        // recursion level ever peels.
-        let (p, q, r) = (a.rows(), a.cols(), b.cols());
-        let (pp, qq, rr) = padded_dims(levels, p, q, r);
-        if (pp, qq, rr) != (p, q, r) {
-            ctx.count(|s| &s.temp_elements, (pp * qq + qq * rr + pp * rr) as u64);
-            let (abuf, rest) = ws.split_at_mut(pp * qq);
-            let (bbuf, rest) = rest.split_at_mut(qq * rr);
-            let (cbuf, rest) = rest.split_at_mut(pp * rr);
-            // The workspace may hold stale values from a previous
-            // execute; the pad frame must be exact zeros.
-            abuf.fill(T::ZERO);
-            bbuf.fill(T::ZERO);
-            kernels::copy(
-                MatMut::from_slice(abuf, pp, qq, qq).into_block(0, 0, p, q),
-                a,
-            );
-            kernels::copy(
-                MatMut::from_slice(bbuf, qq, rr, rr).into_block(0, 0, q, r),
-                b,
-            );
-            run_node(
-                &ctx,
-                0,
-                0,
-                MatRef::from_slice(abuf, pp, qq, qq),
-                MatRef::from_slice(bbuf, qq, rr, rr),
-                MatMut::from_slice(cbuf, pp, rr, rr),
-                rest,
-            );
-            kernels::copy(
-                c.reborrow(),
-                MatRef::from_slice(cbuf, pp, rr, rr).block(0, 0, p, r),
-            );
-            return;
-        }
-    }
     run_node(&ctx, 0, 0, a, b, c, ws);
 }
 
 struct Ctx<'p, T> {
     levels: &'p [LevelPlan<T>],
+    layouts: &'p [NodeLayout],
     additions: AdditionMethod,
-    scheme: Scheme,
-    threshold: u64,
+    knobs: SchemeKnobs,
     stats: Option<&'p ExecStats>,
     trace: bool,
 }
 
+/// Selects the [`ExecStats`] counter a gemm increments.
+type Counter = fn(&ExecStats) -> &std::sync::atomic::AtomicU64;
+
 impl<T> Ctx<'_, T> {
-    fn count(&self, field: impl Fn(&ExecStats) -> &std::sync::atomic::AtomicU64, amount: u64) {
+    fn count(&self, field: Counter, amount: u64) {
         if let Some(stats) = self.stats {
             field(stats).fetch_add(amount, std::sync::atomic::Ordering::Relaxed);
         }
@@ -537,77 +490,29 @@ impl<T> Ctx<'_, T> {
 }
 
 impl<T: GemmScalar> Ctx<'_, T> {
-    /// Leaves under one child of a node at `depth`.
-    fn leaves_below(&self, depth: usize) -> u64 {
-        self.levels[depth + 1..]
-            .iter()
-            .map(|l| l.rank as u64)
-            .product()
-    }
-
-    /// Should additions at this depth use all threads?
-    fn par_adds(&self, depth: usize) -> bool {
-        match self.scheme {
-            Scheme::Sequential => false,
-            Scheme::Dfs => true,
-            // BFS/HYBRID: only the top level runs outside tasks.
-            Scheme::Bfs | Scheme::Hybrid => depth == 0,
-        }
-    }
-
-    /// Base-case gemm for the leaf with global index `leaf`.
-    fn leaf_gemm(
+    /// `c = a·b + beta·c` with all threads when `par`: one counted,
+    /// traced gemm (a base-case leaf or a peel strip).
+    #[allow(clippy::too_many_arguments)]
+    fn gemm(
         &self,
-        leaf: u64,
-        alpha: T,
+        counter: Counter,
+        kind: fmm_trace::SpanKind,
+        par: bool,
         a: MatRef<'_, T>,
         b: MatRef<'_, T>,
         beta: T,
         c: MatMut<'_, T>,
     ) {
-        self.count(|s| &s.base_gemms, 1);
+        self.count(counter, 1);
         self.mark_thread();
         let flops = (a.rows() * a.cols() * b.cols()) as u64;
         let t_span = fmm_trace::now_if(self.trace);
-        match self.scheme {
-            Scheme::Sequential | Scheme::Bfs => gemm(alpha, a, b, beta, c),
-            Scheme::Dfs => par_gemm(alpha, a, b, beta, c),
-            Scheme::Hybrid => {
-                if leaf >= self.threshold {
-                    par_gemm(alpha, a, b, beta, c)
-                } else {
-                    gemm(alpha, a, b, beta, c)
-                }
-            }
-        }
-        fmm_trace::span_end(fmm_trace::SpanKind::BaseGemm, t_span, flops);
-    }
-
-    /// Gemm used for peel strips at `depth`.
-    fn strip_gemm(
-        &self,
-        depth: usize,
-        alpha: T,
-        a: MatRef<'_, T>,
-        b: MatRef<'_, T>,
-        beta: T,
-        c: MatMut<'_, T>,
-    ) {
-        self.count(|s| &s.peel_gemms, 1);
-        self.mark_thread();
-        let flops = (a.rows() * a.cols() * b.cols()) as u64;
-        let t_span = fmm_trace::now_if(self.trace);
-        let par = match self.scheme {
-            Scheme::Sequential => false,
-            Scheme::Dfs => true,
-            Scheme::Bfs | Scheme::Hybrid => depth == 0,
-        };
         if par {
-            par_gemm(alpha, a, b, beta, c)
+            par_gemm(T::ONE, a, b, beta, c)
         } else {
-            gemm(alpha, a, b, beta, c)
+            gemm(T::ONE, a, b, beta, c)
         }
-        fmm_trace::span_end(fmm_trace::SpanKind::PeelGemm, t_span, flops);
+        fmm_trace::span_end(kind, t_span, flops);
     }
 }
 
@@ -621,120 +526,138 @@ fn run_node<T: GemmScalar>(
     mut c: MatMut<'_, T>,
     ws: &mut [T],
 ) {
-    let (p, q, r) = (a.rows(), a.cols(), b.cols());
-    let Some(layout) = NodeLayout::at(ctx.levels, depth, ctx.scheme, p, q, r) else {
+    let Some(layout) = ctx.layouts.get(depth) else {
         // Recursion exhausted, or the core is smaller than the base
         // case: one classical product.
-        ctx.leaf_gemm(leaf_lo, T::ONE, a, b, T::ZERO, c);
+        let par = leaf_lo >= ctx.knobs.threshold;
+        let kind = fmm_trace::SpanKind::BaseGemm;
+        ctx.gemm(|s| &s.base_gemms, kind, par, a, b, T::ZERO, c);
         return;
     };
-    let peel = layout.peel;
-    let (p1, q1, r1) = (peel.p1, peel.q1, peel.r1);
-    let (dp, dq, dr) = (peel.dp, peel.dq, peel.dr);
-
-    let a11 = a.block(0, 0, p1, q1);
-    let b11 = b.block(0, 0, q1, r1);
+    let PeelSplit {
+        p1,
+        q1,
+        r1,
+        dp,
+        dq,
+        dr,
+    } = layout.peel;
+    debug_assert_eq!((a.rows(), a.cols(), b.cols()), (p1 + dp, q1 + dq, r1 + dr));
 
     // Fast multiplication on the divisible core, then the thin
     // dynamic-peeling fix-up products (§3.5). Sequential mutable
     // reborrows of C keep exclusive access sound.
+    let core = c.reborrow().into_block(0, 0, p1, r1);
     fast_step(
         ctx,
         depth,
         leaf_lo,
-        a11,
-        b11,
-        c.reborrow().into_block(0, 0, p1, r1),
-        &layout,
+        a.block(0, 0, p1, q1),
+        b.block(0, 0, q1, r1),
+        core,
+        layout,
         ws,
     );
 
-    if dq > 0 {
-        // C11 += A12·B21
-        let a12 = a.block(0, q1, p1, dq);
-        let b21 = b.block(q1, 0, dq, r1);
-        ctx.strip_gemm(
-            depth,
-            T::ONE,
-            a12,
-            b21,
-            T::ONE,
-            c.reborrow().into_block(0, 0, p1, r1),
-        );
-    }
-    if dr > 0 {
-        // C12 = A11·B12 + A12·B22
-        let b12 = b.block(0, r1, q1, dr);
-        ctx.strip_gemm(
-            depth,
-            T::ONE,
-            a11,
-            b12,
-            T::ZERO,
-            c.reborrow().into_block(0, r1, p1, dr),
-        );
-        if dq > 0 {
-            let a12 = a.block(0, q1, p1, dq);
-            let b22 = b.block(q1, r1, dq, dr);
-            ctx.strip_gemm(
-                depth,
-                T::ONE,
-                a12,
-                b22,
-                T::ONE,
-                c.reborrow().into_block(0, r1, p1, dr),
-            );
+    // C_ij = Σ_k A_ik·B_kj over the 2×2×2 block split, skipping the core
+    // product and empty strips: C11 += A12·B21, C12 = A11·B12 + A12·B22,
+    // C21 = A21·B11 + A22·B21, C22 = A21·B12 + A22·B22.
+    let par = depth < ctx.knobs.par_depth;
+    let kind = fmm_trace::SpanKind::PeelGemm;
+    let rows = [(0, p1), (p1, dp)];
+    let inner = [(0, q1), (q1, dq)];
+    let cols = [(0, r1), (r1, dr)];
+    for (i, &(i0, ni)) in rows.iter().enumerate() {
+        for (j, &(j0, nj)) in cols.iter().enumerate() {
+            for (k, &(k0, nk)) in inner.iter().enumerate() {
+                if ni == 0 || nj == 0 || nk == 0 || (i, j, k) == (0, 0, 0) {
+                    continue;
+                }
+                let beta = if k == 0 { T::ZERO } else { T::ONE };
+                ctx.gemm(
+                    |s| &s.peel_gemms,
+                    kind,
+                    par,
+                    a.block(i0, k0, ni, nk),
+                    b.block(k0, j0, nk, nj),
+                    beta,
+                    c.reborrow().into_block(i0, j0, ni, nj),
+                );
+            }
         }
     }
-    if dp > 0 {
-        // C21 = A21·B11 + A22·B21
-        let a21 = a.block(p1, 0, dp, q1);
-        ctx.strip_gemm(
-            depth,
-            T::ONE,
-            a21,
-            b11,
-            T::ZERO,
-            c.reborrow().into_block(p1, 0, dp, r1),
-        );
-        if dq > 0 {
-            let a22 = a.block(p1, q1, dp, dq);
-            let b21 = b.block(q1, 0, dq, r1);
-            ctx.strip_gemm(
-                depth,
-                T::ONE,
-                a22,
-                b21,
-                T::ONE,
-                c.reborrow().into_block(p1, 0, dp, r1),
-            );
-        }
+}
+
+/// Block `v` of a chain: an operand sub-block of `src` or a CSE
+/// temporary.
+fn var_block<'x, T: Scalar>(
+    grid: &Grid,
+    src: &MatRef<'x, T>,
+    temps: &[MatRef<'x, T>],
+    v: Var,
+) -> MatRef<'x, T> {
+    match v {
+        Var::Block(bi) => grid.block(src, bi / grid.bc, bi % grid.bc),
+        Var::Temp(t) => temps[t],
     }
-    if dp > 0 && dr > 0 {
-        // C22 = A21·B12 + A22·B22
-        let a21 = a.block(p1, 0, dp, q1);
-        let b12 = b.block(0, r1, q1, dr);
-        ctx.strip_gemm(
-            depth,
-            T::ONE,
-            a21,
-            b12,
-            T::ZERO,
-            c.reborrow().into_block(p1, r1, dp, dr),
-        );
-        if dq > 0 {
-            let a22 = a.block(p1, q1, dp, dq);
-            let b22 = b.block(q1, r1, dq, dr);
-            ctx.strip_gemm(
-                depth,
-                T::ONE,
-                a22,
-                b22,
-                T::ONE,
-                c.reborrow().into_block(p1, r1, dp, dr),
-            );
+}
+
+/// `out = Σ coef·block` over `terms` with the pairwise (one `daxpy`
+/// pass per term) or write-once (one pass over `out`) strategy; the
+/// streaming strategy writes single chains once, like write-once.
+fn eval_chain<T: Scalar>(
+    mut out: MatMut<'_, T>,
+    terms: &[(T, MatRef<'_, T>)],
+    method: AdditionMethod,
+    par: bool,
+) {
+    match (method, terms.split_first()) {
+        (AdditionMethod::Pairwise, Some((&(c0, s0), rest))) => {
+            if par {
+                kernels::par_copy(out.reborrow(), s0);
+                if c0 != T::ONE {
+                    kernels::scale(out.reborrow(), c0);
+                }
+                for &(cf, sv) in rest {
+                    kernels::par_axpy(out.reborrow(), cf, sv);
+                }
+            } else {
+                kernels::copy_scaled(out.reborrow(), c0, s0);
+                for &(cf, sv) in rest {
+                    kernels::axpy(out.reborrow(), cf, sv);
+                }
+            }
         }
+        _ if par => kernels::par_lincomb(out, T::ZERO, terms),
+        _ => kernels::lincomb(out, T::ZERO, terms),
     }
+}
+
+/// `dst ← dst + coef·src` for every `(coef, dst)` target, reading `src`
+/// once (§3.2, streaming).
+fn stream<T: Scalar>(targets: &mut [(T, MatMut<'_, T>)], src: MatRef<'_, T>, par: bool) {
+    if par {
+        kernels::par_stream_update(targets, src);
+    } else {
+        kernels::stream_update(targets, src);
+    }
+}
+
+/// Disjoint mutable borrows `(coef, &mut items[i])` for the `(i, coef)`
+/// pairs of `targets`, whose indices must be strictly ascending.
+fn pick_mut<'s, X, T: Copy>(items: &'s mut [X], targets: &[(usize, T)]) -> Vec<(T, &'s mut X)> {
+    let mut picked = Vec::with_capacity(targets.len());
+    let mut rest = items;
+    let mut base = 0;
+    for &(i, coef) in targets {
+        let (item, tail) = std::mem::take(&mut rest)[i - base..]
+            .split_first_mut()
+            .expect("target index in range");
+        picked.push((coef, item));
+        rest = tail;
+        base = i + 1;
+    }
+    picked
 }
 
 /// Evaluate the CSE temporaries of one side into workspace slices
@@ -744,6 +667,7 @@ fn eval_temps<'w, T: Scalar>(
     temps: &[Vec<(Var, T)>],
     grid: &Grid,
     src: &MatRef<'w, T>,
+    method: AdditionMethod,
     par: bool,
     buf: &'w mut [T],
 ) -> Vec<MatRef<'w, T>> {
@@ -753,21 +677,12 @@ fn eval_temps<'w, T: Scalar>(
     for def in temps {
         let (cur, tail) = rest.split_at_mut(size);
         rest = tail;
-        {
-            let terms: Vec<(T, MatRef<'_, T>)> = def
-                .iter()
-                .map(|&(v, coef)| match v {
-                    Var::Block(bi) => (coef, grid.block(src, bi / grid.bc, bi % grid.bc)),
-                    Var::Temp(t) => (coef, done[t]),
-                })
-                .collect();
-            let out = MatMut::from_slice(&mut cur[..], grid.rs, grid.cs, grid.cs);
-            if par {
-                kernels::par_lincomb(out, T::ZERO, &terms);
-            } else {
-                kernels::lincomb(out, T::ZERO, &terms);
-            }
-        }
+        let terms: Vec<(T, MatRef<'_, T>)> = def
+            .iter()
+            .map(|&(v, coef)| (coef, var_block(grid, src, &done, v)))
+            .collect();
+        let out = MatMut::from_slice(&mut cur[..], grid.rs, grid.cs, grid.cs);
+        eval_chain(out, &terms, method, par);
         done.push(MatRef::from_slice(cur, grid.rs, grid.cs, grid.cs));
     }
     done
@@ -805,135 +720,86 @@ fn carve_st<'w, T: Scalar>(
     (s, t)
 }
 
-/// Form one operand (`S_r` or `T_r`) with the write-once or pairwise
-/// strategy, returning `(view, scale)` — a borrowed scaled source block
-/// for singleton columns (§3.1) or a view of `buf` after evaluating the
-/// chain into it.
-#[allow(clippy::too_many_arguments)]
-fn form_operand<'x, T: Scalar>(
-    plan: &TypedSide<T>,
-    r: usize,
-    grid: &Grid,
-    src: &MatRef<'x, T>,
-    temps: &[MatRef<'x, T>],
-    method: AdditionMethod,
-    par: bool,
-    buf: Option<&'x mut [T]>,
-) -> (MatRef<'x, T>, T) {
-    if let Some((bi, scale)) = plan.passthrough[r] {
-        return (grid.block(src, bi / grid.bc, bi % grid.bc), scale);
-    }
-    let buf = buf.expect("non-passthrough operand requires a workspace buffer");
-    let chain = &plan.chains[r];
-    let terms: Vec<(T, MatRef<'_, T>)> = chain
-        .iter()
-        .map(|&(v, coef)| match v {
-            Var::Block(bi) => (coef, grid.block(src, bi / grid.bc, bi % grid.bc)),
-            Var::Temp(t) => (coef, temps[t]),
-        })
-        .collect();
-    {
-        let mut out = MatMut::from_slice(&mut buf[..], grid.rs, grid.cs, grid.cs);
-        match method {
-            AdditionMethod::Pairwise => {
-                // daxpy-chain: initial scaled copy then one axpy per term.
-                let (c0, s0) = terms[0];
-                if par {
-                    kernels::par_copy(out.reborrow(), s0);
-                    if c0 != T::ONE {
-                        kernels::scale(out.reborrow(), c0);
-                    }
-                    for &(cf, sv) in &terms[1..] {
-                        kernels::par_axpy(out.reborrow(), cf, sv);
-                    }
-                } else {
-                    kernels::copy_scaled(out.reborrow(), c0, s0);
-                    for &(cf, sv) in &terms[1..] {
-                        kernels::axpy(out.reborrow(), cf, sv);
-                    }
-                }
-            }
-            AdditionMethod::WriteOnce | AdditionMethod::Streaming => {
-                if par {
-                    kernels::par_lincomb(out, T::ZERO, &terms);
-                } else {
-                    kernels::lincomb(out, T::ZERO, &terms);
-                }
-            }
+/// The `S_r` or `T_r` operand of child `r`: already formed (streaming
+/// forms a whole side up front), or still to be formed by the child
+/// into its workspace buffer (`None` for a passthrough).
+enum Operand<'x, T> {
+    Formed(MatRef<'x, T>, T),
+    Pending(Option<&'x mut [T]>),
+}
+
+impl<'x, T: Scalar> Operand<'x, T> {
+    /// `(view, scale)` of the operand: a borrowed scaled source block
+    /// for singleton columns (§3.1), or a view of the buffer after
+    /// evaluating chain `r` into it.
+    #[allow(clippy::too_many_arguments)]
+    fn form(
+        self,
+        plan: &TypedSide<T>,
+        r: usize,
+        grid: &Grid,
+        src: &MatRef<'x, T>,
+        temps: &[MatRef<'x, T>],
+        method: AdditionMethod,
+        par: bool,
+    ) -> (MatRef<'x, T>, T) {
+        let buf = match self {
+            Operand::Formed(view, scale) => return (view, scale),
+            Operand::Pending(buf) => buf,
+        };
+        if let Some((bi, scale)) = plan.passthrough[r] {
+            return (var_block(grid, src, temps, Var::Block(bi)), scale);
         }
+        let buf = buf.expect("non-passthrough operand requires a workspace buffer");
+        let terms: Vec<(T, MatRef<'_, T>)> = plan.chains[r]
+            .iter()
+            .map(|&(v, coef)| (coef, var_block(grid, src, temps, v)))
+            .collect();
+        eval_chain(
+            MatMut::from_slice(&mut buf[..], grid.rs, grid.cs, grid.cs),
+            &terms,
+            method,
+            par,
+        );
+        (MatRef::from_slice(buf, grid.rs, grid.cs, grid.cs), T::ONE)
     }
-    (MatRef::from_slice(buf, grid.rs, grid.cs, grid.cs), T::ONE)
 }
 
 /// Form all operands of one side with the streaming strategy: zero all
 /// workspace temporaries, then stream each source block once, updating
-/// every chain that references it.
+/// every chain that references it, in the plan's fixed variable order.
 fn form_side_streaming<'x, T: Scalar>(
     plan: &TypedSide<T>,
     grid: &Grid,
     src: &MatRef<'x, T>,
     temps: &[MatRef<'x, T>],
     par: bool,
-    bufs: Vec<Option<&'x mut [T]>>,
-) -> Vec<(MatRef<'x, T>, T)> {
+    mut bufs: Vec<Option<&'x mut [T]>>,
+) -> Vec<Operand<'x, T>> {
     // The workspace may hold stale values; streaming accumulates, so
     // every owned destination starts from exact zero.
-    let mut owned: Vec<Option<&'x mut [T]>> = bufs;
-    for buf in owned.iter_mut().flatten() {
+    for buf in bufs.iter_mut().flatten() {
         buf.fill(T::ZERO);
     }
-
-    // Reverse index: variable → [(chain, coef)], chains ascending so
-    // disjoint mutable access can be split off in order.
-    let mut by_var: std::collections::HashMap<Var, Vec<(usize, T)>> =
-        std::collections::HashMap::new();
-    for (r, chain) in plan.chains.iter().enumerate() {
-        if plan.passthrough[r].is_some() {
-            continue;
-        }
-        for &(v, coef) in chain {
-            by_var.entry(v).or_default().push((r, coef));
-        }
+    for &(var, ref targets) in &plan.by_var {
+        let mut refs: Vec<(T, MatMut<'_, T>)> = pick_mut(&mut bufs, targets)
+            .into_iter()
+            .map(|(coef, buf)| {
+                let buf = buf
+                    .as_mut()
+                    .expect("streaming target must have a workspace buffer");
+                (coef, MatMut::from_slice(buf, grid.rs, grid.cs, grid.cs))
+            })
+            .collect();
+        stream(&mut refs, var_block(grid, src, temps, var), par);
     }
-
-    for (&var, targets) in by_var.iter() {
-        let srcview = match var {
-            Var::Block(bi) => grid.block(src, bi / grid.bc, bi % grid.bc),
-            Var::Temp(t) => temps[t],
-        };
-        let mut targets: Vec<(usize, T)> = targets.clone();
-        targets.sort_unstable_by_key(|&(r, _)| r);
-        // Split disjoint mutable views off `owned` in ascending chain
-        // order (each chain references a variable at most once).
-        let mut refs: Vec<(T, MatMut<'_, T>)> = Vec::with_capacity(targets.len());
-        let mut rest: &mut [Option<&'x mut [T]>] = &mut owned;
-        let mut base = 0;
-        for &(r, coef) in &targets {
-            let (_, tail) = rest.split_at_mut(r - base);
-            let (item, tail) = tail.split_at_mut(1);
-            let buf = item[0]
-                .as_mut()
-                .expect("streaming target must have a workspace buffer");
-            refs.push((coef, MatMut::from_slice(buf, grid.rs, grid.cs, grid.cs)));
-            rest = tail;
-            base = r + 1;
-        }
-        if par {
-            kernels::par_stream_update(&mut refs, srcview);
-        } else {
-            kernels::stream_update(&mut refs, srcview);
-        }
-    }
-
-    owned
-        .into_iter()
-        .enumerate()
-        .map(|(r, o)| match o {
-            Some(buf) => (MatRef::from_slice(buf, grid.rs, grid.cs, grid.cs), T::ONE),
-            None => {
-                let (bi, scale) = plan.passthrough[r].unwrap();
-                (grid.block(src, bi / grid.bc, bi % grid.bc), scale)
+    bufs.into_iter()
+        .map(|buf| match buf {
+            Some(buf) => {
+                Operand::Formed(MatRef::from_slice(buf, grid.rs, grid.cs, grid.cs), T::ONE)
             }
+            // Passthroughs are borrowed by the child as usual.
+            None => Operand::Pending(None),
         })
         .collect()
 }
@@ -954,9 +820,9 @@ fn fast_step<T: GemmScalar>(
     let lp = &ctx.levels[depth];
     let ga = Grid::new(a.rows(), a.cols(), lp.m, lp.k);
     let gb = Grid::new(b.rows(), b.cols(), lp.k, lp.n);
-    let rank = lp.rank;
-    let par = ctx.par_adds(depth);
-    let leaves_per_child = ctx.leaves_below(depth);
+    let par = depth < ctx.knobs.par_depth;
+    let concurrent = ctx.knobs.concurrent;
+    let method = ctx.additions;
 
     let (ut_buf, rest) = ws.split_at_mut(layout.ut_len);
     let (vt_buf, rest) = rest.split_at_mut(layout.vt_len);
@@ -966,160 +832,63 @@ fn fast_step<T: GemmScalar>(
     // CSE temporaries are shared across all chains of a side.
     let t_span =
         fmm_trace::now_if(ctx.trace && !(lp.uplan.temps.is_empty() && lp.vplan.temps.is_empty()));
-    let utemps = eval_temps(&lp.uplan.temps, &ga, &a, par, ut_buf);
-    let vtemps = eval_temps(&lp.vplan.temps, &gb, &b, par, vt_buf);
+    let utemps = eval_temps(&lp.uplan.temps, &ga, &a, method, par, ut_buf);
+    let vtemps = eval_temps(&lp.vplan.temps, &gb, &b, method, par, vt_buf);
     fmm_trace::span_end(fmm_trace::SpanKind::Additions, t_span, depth as u64);
 
-    // Per-multiplication S/T buffers.
-    let (mut sbufs, mut tbufs) = carve_st(lp, layout, st_buf);
+    // Per-multiplication S/T operands: streaming forms each side in one
+    // pass up front; the other methods leave forming to each child.
+    let (sbufs, tbufs) = carve_st(lp, layout, st_buf);
+    let per_child_adds = method != AdditionMethod::Streaming;
+    let (s_ops, t_ops) = if per_child_adds {
+        (
+            sbufs.into_iter().map(Operand::Pending).collect(),
+            tbufs.into_iter().map(Operand::Pending).collect(),
+        )
+    } else {
+        let t_span = fmm_trace::now_if(ctx.trace);
+        let ss = form_side_streaming(&lp.uplan, &ga, &a, &utemps, par, sbufs);
+        let ts = form_side_streaming(&lp.vplan, &gb, &b, &vtemps, par, tbufs);
+        fmm_trace::span_end(fmm_trace::SpanKind::Additions, t_span, depth as u64);
+        (ss, ts)
+    };
 
     // M_r storage.
     let (sub_rows, sub_cols) = (ga.rs, gb.cs);
     ctx.count(|s| &s.temp_elements, layout.ms_len as u64);
     // Scales piped from singleton S/T columns into the W combination.
-    let mut scales = vec![T::ONE; rank];
+    let mut scales = vec![T::ONE; lp.rank];
 
-    let sequentialish = !ctx.scheme.concurrent_children();
-
-    match ctx.additions {
-        AdditionMethod::Streaming => {
-            let t_span = fmm_trace::now_if(ctx.trace);
-            let ss =
-                form_side_streaming(&lp.uplan, &ga, &a, &utemps, par, std::mem::take(&mut sbufs));
-            let ts =
-                form_side_streaming(&lp.vplan, &gb, &b, &vtemps, par, std::mem::take(&mut tbufs));
-            fmm_trace::span_end(fmm_trace::SpanKind::Additions, t_span, depth as u64);
-            for r in 0..rank {
-                scales[r] = ss[r].1 * ts[r].1;
+    // Child r: form S_r/T_r (unless streamed), recurse into M_r, and
+    // return the product of the singleton scales. Inside a BFS/HYBRID
+    // task the additions are part of the task, hence sequential (§4.2).
+    let child_par = par && !concurrent;
+    let child = |r: usize, s: Operand<'_, T>, t: Operand<'_, T>, m: &mut [T], kid: &mut [T]| {
+        let t_span = fmm_trace::now_if(ctx.trace && per_child_adds);
+        let (sv, su) = s.form(&lp.uplan, r, &ga, &a, &utemps, method, child_par);
+        let (tv, tu) = t.form(&lp.vplan, r, &gb, &b, &vtemps, method, child_par);
+        fmm_trace::span_end(fmm_trace::SpanKind::Additions, t_span, r as u64);
+        let m = MatMut::from_slice(m, sub_rows, sub_cols, sub_cols);
+        let leaf = leaf_lo + r as u64 * layout.leaves_per_child;
+        run_node(ctx, depth + 1, leaf, sv, tv, m, kid);
+        su * tu
+    };
+    let work = ms_buf
+        .chunks_mut(layout.m_size)
+        .zip(s_ops.into_iter().zip(t_ops))
+        .zip(scales.iter_mut())
+        .enumerate();
+    if concurrent {
+        let child = &child;
+        let kids = child_chunks(child_buf, layout.child_len, lp.rank);
+        rayon::scope(|scope| {
+            for ((r, ((m, (s, t)), scale)), kid) in work.zip(kids) {
+                scope.spawn(move |_| *scale = child(r, s, t, m, kid));
             }
-            if sequentialish {
-                for (r, m_chunk) in ms_buf.chunks_mut(layout.m_size).enumerate() {
-                    let m = MatMut::from_slice(m_chunk, sub_rows, sub_cols, sub_cols);
-                    run_node(
-                        ctx,
-                        depth + 1,
-                        leaf_lo + r as u64 * leaves_per_child,
-                        ss[r].0,
-                        ts[r].0,
-                        m,
-                        &mut child_buf[..layout.child_len],
-                    );
-                }
-            } else {
-                rayon::scope(|scope| {
-                    let kids = child_chunks(child_buf, layout.child_len, rank);
-                    for ((r, m_chunk), kid) in
-                        ms_buf.chunks_mut(layout.m_size).enumerate().zip(kids)
-                    {
-                        let (sv, tv) = (ss[r].0, ts[r].0);
-                        scope.spawn(move |_| {
-                            let m = MatMut::from_slice(m_chunk, sub_rows, sub_cols, sub_cols);
-                            run_node(
-                                ctx,
-                                depth + 1,
-                                leaf_lo + r as u64 * leaves_per_child,
-                                sv,
-                                tv,
-                                m,
-                                kid,
-                            );
-                        });
-                    }
-                });
-            }
-        }
-        AdditionMethod::WriteOnce | AdditionMethod::Pairwise => {
-            if sequentialish {
-                for (r, m_chunk) in ms_buf.chunks_mut(layout.m_size).enumerate() {
-                    let t_span = fmm_trace::now_if(ctx.trace);
-                    let (sv, su) = form_operand(
-                        &lp.uplan,
-                        r,
-                        &ga,
-                        &a,
-                        &utemps,
-                        ctx.additions,
-                        par,
-                        sbufs[r].take(),
-                    );
-                    let (tv, tu) = form_operand(
-                        &lp.vplan,
-                        r,
-                        &gb,
-                        &b,
-                        &vtemps,
-                        ctx.additions,
-                        par,
-                        tbufs[r].take(),
-                    );
-                    fmm_trace::span_end(fmm_trace::SpanKind::Additions, t_span, r as u64);
-                    scales[r] = su * tu;
-                    let m = MatMut::from_slice(m_chunk, sub_rows, sub_cols, sub_cols);
-                    run_node(
-                        ctx,
-                        depth + 1,
-                        leaf_lo + r as u64 * leaves_per_child,
-                        sv,
-                        tv,
-                        m,
-                        &mut child_buf[..layout.child_len],
-                    );
-                }
-            } else {
-                // Each task writes its singleton-scale product into a
-                // disjoint one-element chunk of `scales` — same
-                // disjointness argument as the M_r chunks.
-                rayon::scope(|scope| {
-                    let kids = child_chunks(child_buf, layout.child_len, rank);
-                    for ((((r, m_chunk), kid), sbuf), (tbuf, slot)) in ms_buf
-                        .chunks_mut(layout.m_size)
-                        .enumerate()
-                        .zip(kids)
-                        .zip(sbufs)
-                        .zip(tbufs.into_iter().zip(scales.chunks_mut(1)))
-                    {
-                        let utemps = &utemps;
-                        let vtemps = &vtemps;
-                        scope.spawn(move |_| {
-                            // S/T formation is part of the task (§4.2),
-                            // hence sequential additions here.
-                            let t_span = fmm_trace::now_if(ctx.trace);
-                            let (sv, su) = form_operand(
-                                &lp.uplan,
-                                r,
-                                &ga,
-                                &a,
-                                utemps,
-                                ctx.additions,
-                                false,
-                                sbuf,
-                            );
-                            let (tv, tu) = form_operand(
-                                &lp.vplan,
-                                r,
-                                &gb,
-                                &b,
-                                vtemps,
-                                ctx.additions,
-                                false,
-                                tbuf,
-                            );
-                            fmm_trace::span_end(fmm_trace::SpanKind::Additions, t_span, r as u64);
-                            slot[0] = su * tu;
-                            let m = MatMut::from_slice(m_chunk, sub_rows, sub_cols, sub_cols);
-                            run_node(
-                                ctx,
-                                depth + 1,
-                                leaf_lo + r as u64 * leaves_per_child,
-                                sv,
-                                tv,
-                                m,
-                                kid,
-                            );
-                        });
-                    }
-                });
-            }
+        });
+    } else {
+        for (r, ((m, (s, t)), scale)) in work {
+            *scale = child(r, s, t, m, &mut child_buf[..layout.child_len]);
         }
     }
 
@@ -1129,7 +898,7 @@ fn fast_step<T: GemmScalar>(
         .map(|chunk| MatRef::from_slice(chunk, sub_rows, sub_cols, sub_cols))
         .collect();
     let t_span = fmm_trace::now_if(ctx.trace);
-    combine_outputs(ctx, lp, &ms, &scales, c, par);
+    combine_outputs(lp, &ms, &scales, c, method, par);
     fmm_trace::span_end(fmm_trace::SpanKind::Combine, t_span, depth as u64);
 }
 
@@ -1145,72 +914,35 @@ fn child_chunks<T>(child_buf: &mut [T], child_len: usize, rank: usize) -> Vec<&m
 
 /// Evaluate the W-side plan into the output blocks.
 fn combine_outputs<T: Scalar>(
-    ctx: &Ctx<'_, T>,
     lp: &LevelPlan<T>,
     ms: &[MatRef<'_, T>],
     scales: &[T],
     c: MatMut<'_, T>,
+    method: AdditionMethod,
     par: bool,
 ) {
     let gc = Grid::new(c.rows(), c.cols(), lp.m, lp.n);
     let mut cblocks = gc.blocks_mut(c);
-    match ctx.additions {
-        AdditionMethod::WriteOnce => {
-            for (ij, cb) in cblocks.iter_mut().enumerate() {
-                let terms: Vec<(T, MatRef<'_, T>)> = lp.wplan[ij]
-                    .iter()
-                    .map(|&(r, coef)| (coef * scales[r], ms[r]))
-                    .collect();
-                if par {
-                    kernels::par_lincomb(cb.reborrow(), T::ZERO, &terms);
-                } else {
-                    kernels::lincomb(cb.reborrow(), T::ZERO, &terms);
-                }
-            }
+    if method == AdditionMethod::Streaming {
+        for cb in cblocks.iter_mut() {
+            cb.fill(T::ZERO);
         }
-        AdditionMethod::Pairwise => {
-            for (ij, cb) in cblocks.iter_mut().enumerate() {
-                let chain = &lp.wplan[ij];
-                if chain.is_empty() {
-                    cb.fill(T::ZERO);
-                    continue;
-                }
-                let (r0, c0) = chain[0];
-                if par {
-                    kernels::par_copy(cb.reborrow(), ms[r0]);
-                    if c0 * scales[r0] != T::ONE {
-                        kernels::scale(cb.reborrow(), c0 * scales[r0]);
-                    }
-                    for &(r, coef) in &chain[1..] {
-                        kernels::par_axpy(cb.reborrow(), coef * scales[r], ms[r]);
-                    }
-                } else {
-                    kernels::copy_scaled(cb.reborrow(), c0 * scales[r0], ms[r0]);
-                    for &(r, coef) in &chain[1..] {
-                        kernels::axpy(cb.reborrow(), coef * scales[r], ms[r]);
-                    }
-                }
-            }
+        // Read each M_r once, updating every output block that uses it.
+        for (r, targets) in lp.by_m.iter().enumerate() {
+            let mut refs: Vec<(T, MatMut<'_, T>)> = pick_mut(&mut cblocks, targets)
+                .into_iter()
+                .map(|(coef, cb)| (coef * scales[r], cb.reborrow()))
+                .collect();
+            stream(&mut refs, ms[r], par);
         }
-        AdditionMethod::Streaming => {
-            for cb in cblocks.iter_mut() {
-                cb.fill(T::ZERO);
-            }
-            // Read each M_r once, updating every output block that uses it.
-            for (r, m) in ms.iter().enumerate() {
-                let mut refs: Vec<(T, MatMut<'_, T>)> = Vec::new();
-                for (ij, cb) in cblocks.iter_mut().enumerate() {
-                    if let Some(&(_, coef)) = lp.wplan[ij].iter().find(|&&(rr, _)| rr == r) {
-                        refs.push((coef * scales[r], cb.reborrow()));
-                    }
-                }
-                if par {
-                    kernels::par_stream_update(&mut refs, *m);
-                } else {
-                    kernels::stream_update(&mut refs, *m);
-                }
-            }
-        }
+        return;
+    }
+    for (cb, chain) in cblocks.into_iter().zip(&lp.wplan) {
+        let terms: Vec<(T, MatRef<'_, T>)> = chain
+            .iter()
+            .map(|&(r, coef)| (coef * scales[r], ms[r]))
+            .collect();
+        eval_chain(cb, &terms, method, par);
     }
 }
 

@@ -24,15 +24,15 @@
 //!
 //! # Plan once, execute many
 //!
-//! The framework's design space (depth × scheme × additions × border)
+//! The framework's design space (depth × scheme × additions × CSE)
 //! only pays off when resolved per machine and problem shape, so the
 //! primary API separates the two phases FFTW-style:
 //!
 //! * [`Planner`] resolves the configuration — applying the §3.4 cutoff
 //!   rule through a measured [`GemmProfile`], optionally auto-selecting
 //!   the decomposition from a catalog — into an immutable [`Plan`]
-//!   whose exact temporary footprint is computed by walking the
-//!   recursion tree once.
+//!   whose exact workspace layout is computed once per recursion
+//!   depth.
 //! * [`Plan::execute`] runs against a reusable [`Workspace`]: after
 //!   the first call every S/T/M temporary is checked out of the same
 //!   arena, so the hot path performs **zero heap allocation**
@@ -118,7 +118,7 @@ pub use certificate::PlanCertificate;
 pub use codegen::generate_rust;
 pub use cutoff::GemmProfile;
 pub use engine::{shape_class, EngineBuilder, EngineError, EngineStats, FmmEngine, MultiplyHandle};
-pub use executor::{AdditionMethod, BorderHandling, ExecStatsSnapshot, Options, Scheme};
+pub use executor::{AdditionMethod, ExecStatsSnapshot, Options, Scheme};
 pub use fmm_gemm::{classical_flops, effective_gflops, GemmScalar};
 pub use plan::{cse_stats, CseStats};
 pub use planner::{Plan, PlanError, Planner};

@@ -3,11 +3,12 @@
 //! elimination (paper §3.3).
 
 use fmm_matrix::Matrix;
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
 /// A variable in an addition chain: either an original operand block or
 /// a temporary produced by CSE.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Var {
     /// Index of an operand sub-block (row index of U or V; row-major).
     Block(usize),
@@ -19,7 +20,7 @@ pub enum Var {
 pub type Chain = Vec<(Var, f64)>;
 
 /// Evaluation plan for one side (U ⇒ all `S_r`, V ⇒ all `T_r`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SidePlan {
     /// CSE temporaries, in evaluation order (a temp may reference
     /// earlier temps).
@@ -117,14 +118,12 @@ fn most_frequent_pair(chains: &[Chain]) -> Option<((Var, Var, f64), usize)> {
             }
         }
     }
+    // Most frequent first, then the smallest |ratio|, then the smallest
+    // key: a total order, so the map's iteration order never matters.
     counts
         .into_iter()
-        .max_by_key(|&(key, c)| (c, std::cmp::Reverse(quant_abs(key.2))))
+        .max_by_key(|&(key, c)| (c, Reverse(key.2.abs()), Reverse(key)))
         .map(|((va, vb, q), c)| ((va, vb, q as f64 / 64.0), c))
-}
-
-fn quant_abs(q: i64) -> i64 {
-    q.abs()
 }
 
 /// Replace `ca·va + ca·ratio·vb` by `ca·y` in `chain` when present.
@@ -338,6 +337,20 @@ mod tests {
                     got[row],
                     u[(row, col)]
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn cse_planning_is_deterministic() {
+        for alg in fmm_algo::catalog() {
+            let (u, v) = (&alg.dec.u, &alg.dec.v);
+            let stats = cse_stats(u, v, 1e-14);
+            let (up, vp) = (side_plan(u, true, 1e-14), side_plan(v, true, 1e-14));
+            for _ in 1..20 {
+                assert_eq!(cse_stats(u, v, 1e-14), stats, "{}", alg.name);
+                assert_eq!(side_plan(u, true, 1e-14), up, "{}", alg.name);
+                assert_eq!(side_plan(v, true, 1e-14), vp, "{}", alg.name);
             }
         }
     }

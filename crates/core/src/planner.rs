@@ -6,8 +6,8 @@
 //! shape*. [`Planner`] is where those choices are made — once, up
 //! front, optionally driven by a measured [`GemmProfile`] and a catalog
 //! of candidate decompositions — and [`Plan`] is the immutable result:
-//! per-level addition plans plus the exact temporary footprint of the
-//! whole recursion tree, computed by walking it once at plan time.
+//! per-level addition plans plus the exact workspace layout of every
+//! recursion depth, computed once at plan time.
 //! Executing a plan against a reusable [`Workspace`] then allocates
 //! nothing (the FFTW plan/execute and BLIS preallocated-packing-buffer
 //! discipline), which is what makes the batched front door
@@ -15,9 +15,7 @@
 
 use crate::certificate::PlanCertificate;
 use crate::cutoff::GemmProfile;
-use crate::executor::{
-    execute_on, required_workspace, ExecStats, ExecStatsSnapshot, LevelPlan, Options,
-};
+use crate::executor::{execute_on, ExecStats, ExecStatsSnapshot, LevelPlan, NodeLayout, Options};
 use crate::workspace::Workspace;
 use fmm_gemm::GemmScalar;
 use fmm_matrix::DenseMatrix;
@@ -88,6 +86,9 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
+/// Cap on the profile-recommended recursion depth.
+const MAX_STEPS: usize = 4;
+
 #[derive(Clone)]
 enum AlgChoice {
     None,
@@ -135,7 +136,6 @@ pub struct Planner {
     shape: Option<(usize, usize, usize)>,
     alg: AlgChoice,
     steps: Option<usize>,
-    max_steps: usize,
     profile: Option<GemmProfile>,
     opts: Options,
 }
@@ -148,15 +148,13 @@ impl Default for Planner {
 
 impl Planner {
     /// A planner with the executor defaults ([`Options::default`]:
-    /// write-once additions, sequential scheme, dynamic peeling, no
-    /// CSE).
+    /// write-once additions, sequential scheme, no CSE).
     #[must_use]
     pub fn new() -> Self {
         Planner {
             shape: None,
             alg: AlgChoice::None,
             steps: None,
-            max_steps: 4,
             profile: None,
             opts: Options::default(),
         }
@@ -219,15 +217,8 @@ impl Planner {
         self
     }
 
-    /// Cap on the profile-recommended recursion depth (default 4).
-    #[must_use]
-    pub fn max_steps(mut self, max_steps: usize) -> Self {
-        self.max_steps = max_steps;
-        self
-    }
-
-    /// Executor strategy: additions (§3.2), CSE (§3.3), parallel
-    /// scheme (§4) and border handling (§3.5). BFS/HYBRID plans reserve
+    /// Executor strategy: additions (§3.2), CSE (§3.3) and parallel
+    /// scheme (§4). BFS/HYBRID plans reserve
     /// disjoint workspace for every concurrent task, making the §4.2
     /// memory factor visible in [`Plan::workspace_len`].
     #[must_use]
@@ -246,7 +237,7 @@ impl Planner {
     fn recommended_depth(&self, dec: &Decomposition, shape: (usize, usize, usize)) -> usize {
         let eff = shape.0.min(shape.1).min(shape.2);
         match &self.profile {
-            Some(profile) => profile.recommended_steps(dec, eff, self.max_steps),
+            Some(profile) => profile.recommended_steps(dec, eff, MAX_STEPS),
             None => usize::from(dec.speedup_per_step() > 0.0),
         }
     }
@@ -310,19 +301,19 @@ impl Planner {
                 })
             })
             .collect::<Result<_, _>>()?;
-        let ws_len = required_workspace(&levels, &opts, shape.0, shape.1, shape.2);
+        let layouts = NodeLayout::for_plan(&levels, opts.scheme, shape);
         let plan = Plan {
             levels,
+            layouts,
             opts,
             shape,
-            ws_len,
         };
         // Audit: the certificate re-derives the workspace footprint
         // from the recursion tree independently of the executor's
         // NodeLayout arithmetic; any disagreement is a sizing bug.
         debug_assert_eq!(
             plan.certificate().workspace_len,
-            ws_len,
+            plan.workspace_len(),
             "plan certificate disagrees with precomputed workspace"
         );
         Ok(plan)
@@ -330,16 +321,17 @@ impl Planner {
 }
 
 /// An immutable, shape-specialized execution plan: per-level addition
-/// plans (coefficients pre-injected into the element type) plus the
-/// precomputed temporary footprint of the whole recursion tree.
+/// plans (coefficients pre-injected into the element type) plus one
+/// workspace layout per recursion depth.
 /// Produced by [`Planner::plan`]; executed repeatedly against a
 /// [`Workspace`] with zero per-call allocation. `Plan` (no parameter)
 /// is a `Plan<f64>`.
 pub struct Plan<T = f64> {
-    levels: Vec<LevelPlan<T>>,
-    opts: Options,
+    pub(crate) levels: Vec<LevelPlan<T>>,
+    /// One layout per non-leaf recursion depth.
+    pub(crate) layouts: Vec<NodeLayout>,
+    pub(crate) opts: Options,
     shape: (usize, usize, usize),
-    ws_len: usize,
 }
 
 impl<T: GemmScalar> Plan<T> {
@@ -359,15 +351,15 @@ impl<T: GemmScalar> Plan<T> {
     }
 
     /// Exact workspace requirement in scalar elements: every S/T/M
-    /// buffer, CSE temporary and padding copy of the recursion tree,
-    /// summed with per-task reservations under BFS/HYBRID.
+    /// buffer and CSE temporary of the recursion tree, summed with
+    /// per-task reservations under BFS/HYBRID.
     pub fn workspace_len(&self) -> usize {
-        self.ws_len
+        self.layouts.first().map_or(0, NodeLayout::total)
     }
 
     /// [`Plan::workspace_len`] in bytes (of this plan's element type).
     pub fn workspace_bytes(&self) -> usize {
-        self.ws_len * std::mem::size_of::<T>()
+        self.workspace_len() * std::mem::size_of::<T>()
     }
 
     /// Statically re-derive this plan's composed rank, gemm counts,
@@ -376,7 +368,7 @@ impl<T: GemmScalar> Plan<T> {
     /// (cross-checked with a `debug_assert` at plan time) and an exact
     /// prediction of the executor's runtime statistics.
     pub fn certificate(&self) -> PlanCertificate {
-        crate::certificate::derive_certificate(&self.levels, &self.opts, self.shape)
+        crate::certificate::derive_certificate(&self.levels, self.opts.scheme, self.shape)
     }
 
     /// `C = A · B`. After the first call on a given `workspace`,
@@ -423,16 +415,8 @@ impl<T: GemmScalar> Plan<T> {
         assert_eq!(a.shape(), (m, k), "A shape differs from the planned shape");
         assert_eq!(b.shape(), (k, n), "B shape differs from the planned shape");
         assert_eq!(c.shape(), (m, n), "C shape differs from the planned shape");
-        let (buf, reused) = workspace.checkout(self.ws_len);
-        execute_on(
-            &self.levels,
-            &self.opts,
-            a.as_ref(),
-            b.as_ref(),
-            c.as_mut(),
-            stats,
-            buf,
-        );
+        let (buf, reused) = workspace.checkout(self.workspace_len());
+        execute_on(self, a.as_ref(), b.as_ref(), c.as_mut(), stats, buf);
         reused
     }
 

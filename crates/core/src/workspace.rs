@@ -1,8 +1,8 @@
 //! Reusable execution workspace: one flat scalar arena that a
 //! [`crate::Plan`] carves all of its S/T/M temporaries out of.
 //!
-//! Planning computes the exact peak temporary footprint by walking the
-//! recursion tree once ([`crate::Plan::workspace_len`]); executing then
+//! Planning computes the exact peak temporary footprint from one
+//! layout per recursion depth ([`crate::Plan::workspace_len`]); executing then
 //! checks a right-sized slice out of a `Workspace` and performs **no**
 //! heap allocation — the FFTW/BLIS plan-execute discipline applied to
 //! fast matrix multiplication. A workspace grows monotonically: once it
@@ -50,13 +50,6 @@ impl<T: GemmScalar> Workspace<T> {
         }
     }
 
-    /// A workspace holding `len` scalar elements.
-    pub fn with_len(len: usize) -> Self {
-        Workspace {
-            buf: vec![T::ZERO; len],
-        }
-    }
-
     /// Current capacity in scalar elements.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -101,18 +94,12 @@ mod tests {
     }
 
     #[test]
-    fn with_len_pre_sizes() {
-        let mut ws = Workspace::<f64>::with_len(10);
-        assert_eq!(ws.len(), 10);
-        let (_, reused) = ws.checkout(10);
-        assert!(reused);
-    }
-
-    #[test]
     fn f32_workspace_checkout() {
-        let mut ws = Workspace::<f32>::with_len(12);
+        let mut ws = Workspace::<f32>::new();
         let (slice, reused) = ws.checkout(12);
-        assert!(reused);
+        assert!(!reused, "first checkout must allocate");
         assert!(slice.iter().all(|&x| x == 0.0f32));
+        let (_, reused) = ws.checkout(12);
+        assert!(reused);
     }
 }

@@ -57,7 +57,7 @@
 //! ```
 //!
 //! `Planner` → `Plan` is the one way into the executor; [`Options`]
-//! holds only the strategy (additions, CSE, scheme, border), and the
+//! holds only the strategy (additions, CSE, scheme), and the
 //! depth comes from `Planner::steps`, a schedule or the profile.
 //!
 //! # Element types

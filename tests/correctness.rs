@@ -89,20 +89,15 @@ fn strategy_matrix_full_cross_product() {
     ] {
         for cse in [false, true] {
             for scheme in [Scheme::Sequential, Scheme::Dfs, Scheme::Bfs, Scheme::Hybrid] {
-                check(
-                    &strassen,
-                    101,
-                    67,
-                    89,
-                    2,
-                    Options {
+                // Ragged in every dimension, so both levels peel.
+                for (p, q, r) in [(101, 67, 89), (63, 65, 67), (100, 50, 75), (31, 97, 41)] {
+                    let opts = Options {
                         additions,
                         cse,
                         scheme,
-                        ..Options::default()
-                    },
-                    7,
-                );
+                    };
+                    check(&strassen, p, q, r, 2, opts, 7);
+                }
             }
         }
     }

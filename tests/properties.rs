@@ -60,20 +60,49 @@ proptest! {
     #[test]
     fn parallel_schemes_bitwise_match_each_other_logically(
         seed in 0u64..500,
-        scheme in 0u8..3,
+        additions in 0u8..3,
+        cse in 0u8..2,
+        alg in 0u8..2,
     ) {
-        let scheme = match scheme {
-            0 => Scheme::Dfs,
-            1 => Scheme::Bfs,
-            _ => Scheme::Hybrid,
+        let additions = match additions {
+            0 => AdditionMethod::Pairwise,
+            1 => AdditionMethod::WriteOnce,
+            _ => AdditionMethod::Streaming,
         };
+        let cse = cse == 1;
+        let dec = algo::by_name(if alg == 0 { "strassen" } else { "<3,3,3>" }).unwrap().dec;
         let mut rng = StdRng::seed_from_u64(seed);
         let a = Matrix::random(70, 66, &mut rng);
         let b = Matrix::random(66, 74, &mut rng);
+        // Every scheme's product, executed twice on one plan and
+        // workspace; all must equal Sequential's first product bitwise.
+        let mut products = Vec::new();
+        for scheme in [Scheme::Sequential, Scheme::Dfs, Scheme::Bfs, Scheme::Hybrid] {
+            let plan = Planner::new()
+                .shape(70, 66, 74)
+                .algorithm(&dec)
+                .steps(2)
+                .options(Options { additions, cse, scheme })
+                .plan()
+                .unwrap();
+            let mut ws = Workspace::new();
+            for run in 0..2 {
+                let mut c = Matrix::zeros(70, 74);
+                plan.execute(&a, &b, &mut c, &mut ws);
+                products.push((scheme, run, c));
+            }
+        }
         let want = reference(&a, &b);
-        let got = strassen_multiply(2, Options { scheme, ..Options::default() }, &a, &b);
-        let d = max_abs_diff(&want.as_ref(), &got.as_ref()).unwrap();
-        prop_assert!(d < 1e-10 * 67.0);
+        let d = max_abs_diff(&want.as_ref(), &products[0].2.as_ref()).unwrap();
+        prop_assert!(d < 1e-10 * 67.0, "diff {d}");
+        let bits = |c: &Matrix| c.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let first = bits(&products[0].2);
+        for (scheme, run, c) in &products[1..] {
+            prop_assert!(
+                bits(c) == first,
+                "{scheme:?} run {run} differs from Sequential ({additions:?}, cse {cse})"
+            );
+        }
     }
 
     #[test]
